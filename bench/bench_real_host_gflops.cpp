@@ -1,0 +1,143 @@
+// Host GFLOP/s of the Real-mode schedules on one lane, read on the
+// process CPU clock: the three distributed schedules (Listings 4, 8
+// and 10 on a 16-rank System C) and the sequential unfused schedule
+// (Listing 1), all on the same n = 32, s = 4, tile 8 problem. Each
+// schedule is credited with its own flop count. The distributed path
+// issues many small tile contractions; this bench tracks how close it
+// runs to the sequential schedule's large GEMMs.
+//
+// The reps of the four schedules interleave, and each schedule reports
+// its median rep, so a slow stretch of the host moves all four alike.
+// The GEMM engine runs on one lane; run the bench with
+// FOURINDEX_THREADS unset or 1 so the cluster executes its ranks on
+// one host thread too (the CPU clock counts every thread either way).
+//
+// Scalars: real.<schedule>.host_gflops for par_unfused, par_fused,
+// par_fused_inner and seq_unfused, real.<schedule>.gemm_calls (engine
+// calls per transform), and real.par_fused_inner_vs_seq — the ratio
+// CI's bench-smoke job gates (>= 0.5). FOURINDEX_BENCH_SMOKE=1 runs
+// fewer reps.
+#include <algorithm>
+#include <cstdlib>
+#include <ctime>
+#include <iostream>
+#include <string>
+#include <vector>
+
+#include "blas/tune.hpp"
+#include "chem/molecule.hpp"
+#include "core/problem.hpp"
+#include "core/transform.hpp"
+#include "obs/bench_json.hpp"
+#include "obs/metrics.hpp"
+#include "runtime/cluster.hpp"
+#include "runtime/machine.hpp"
+#include "util/format.hpp"
+
+namespace {
+
+using namespace fit;
+
+double cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+struct Sample {
+  double flops = 0;       // the schedule's own flop count
+  double gemm_calls = 0;  // engine calls per transform
+  std::vector<double> cpu_s;
+};
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t h = v.size() / 2;
+  return v.size() % 2 ? v[h] : 0.5 * (v[h - 1] + v[h]);
+}
+
+}  // namespace
+
+int main() {
+  const char* smoke_env = std::getenv("FOURINDEX_BENCH_SMOKE");
+  const bool smoke = smoke_env && smoke_env[0] == '1';
+  const int reps = smoke ? 5 : 11;
+
+  blas::GemmConfig one = blas::gemm_config();
+  one.threads = 1;
+  blas::set_gemm_config(one);
+
+  const core::Problem p =
+      core::make_problem(chem::custom_molecule("dist-real", 32, 4));
+  struct Entry {
+    const char* key;
+    const char* label;
+    core::Schedule schedule;
+  };
+  const Entry entries[] = {
+      {"par_unfused", "par-unfused (Listing 4)", core::Schedule::ParUnfused},
+      {"par_fused", "par-fused (Listing 8)", core::Schedule::ParFused},
+      {"par_fused_inner", "par-fused-inner (Listing 10)",
+       core::Schedule::ParFusedInner},
+      {"seq_unfused", "seq-unfused (Listing 1)", core::Schedule::Unfused},
+  };
+  constexpr std::size_t kEntries = std::size(entries);
+  std::vector<Sample> samples(kEntries);
+  std::size_t host_threads = 1;
+  auto& gm = blas::gemm_metrics();
+  gm.counter("gemm.calls");
+  // Rep 0 warms every schedule (packing buffers, integral tables) and
+  // is not timed.
+  for (int rep = 0; rep <= reps; ++rep)
+    for (std::size_t e = 0; e < kEntries; ++e) {
+      core::TransformOptions o;
+      o.schedule = entries[e].schedule;
+      o.par.tile = 8;
+      const double calls0 = gm.sum("gemm.calls");
+      const double t0 = cpu_seconds();
+      core::TransformOutcome r;
+      if (o.schedule == core::Schedule::Unfused) {
+        r = core::four_index_transform(p, o);
+      } else {
+        runtime::Cluster cl(runtime::system_c(4),
+                            runtime::ExecutionMode::Real);
+        host_threads = cl.host_threads();
+        r = core::four_index_transform(p, o, &cl);
+      }
+      const double secs = cpu_seconds() - t0;
+      if (rep == 0) continue;
+      Sample& s = samples[e];
+      s.flops = r.distributed ? r.par.flops : r.seq.flops;
+      s.gemm_calls = gm.sum("gemm.calls") - calls0;
+      s.cpu_s.push_back(secs);
+    }
+
+  obs::BenchReport report("bench_real_host_gflops");
+  TextTable t({"schedule", "flops", "CPU ms (median)", "host GFLOP/s",
+               "gemm calls"});
+  std::vector<double> gflops(kEntries);
+  for (std::size_t e = 0; e < kEntries; ++e) {
+    const Sample& s = samples[e];
+    const double secs = median(s.cpu_s);
+    gflops[e] = secs > 0 ? s.flops / secs / 1e9 : 0.0;
+    t.add_row({entries[e].label, human_count(s.flops),
+               fmt_fixed(secs * 1e3, 1), fmt_fixed(gflops[e], 2),
+               human_count(s.gemm_calls)});
+    const std::string key = std::string("real.") + entries[e].key;
+    report.add_scalar(key + ".host_gflops", gflops[e]);
+    report.add_scalar(key + ".gemm_calls", s.gemm_calls);
+  }
+  const double ratio = gflops[3] > 0 ? gflops[2] / gflops[3] : 0.0;
+  report.add_scalar("real.par_fused_inner_vs_seq", ratio);
+  const std::string title =
+      "Real-mode host GFLOP/s on one lane (CPU clock, median of " +
+      std::to_string(reps) + "; n = 32, s = 4, tile 8, 16 ranks)";
+  t.print(title);
+  report.add_table(title, t);
+  report.add_note("cluster host threads: " + std::to_string(host_threads));
+  std::cout << "par-fused-inner / seq-unfused = " << fmt_fixed(ratio, 3)
+            << "\n";
+  const std::string written = report.write();
+  if (!written.empty()) std::cout << "bench JSON: " << written << "\n";
+  return 0;
+}

@@ -6,11 +6,11 @@
 /// and a portable build silently ran the narrow kernel on wide hosts.
 /// This header replaces that with an rtcd-style (libvpx) table of
 /// per-function pointers: every kernel the engine calls through —
-/// micro-kernel, packing routines, level-1/level-2 helpers — exists
-/// once per ISA level in its own translation unit (compiled with that
-/// level's `-m` flags), and a `KernelTable` per level is resolved at
-/// startup from a cpuid probe, optionally narrowed by the
-/// `FOURINDEX_CPU` environment override.
+/// micro-kernel, tile update, packing routines, level-1/level-2
+/// helpers — exists once per ISA level in its own translation unit
+/// (compiled with that level's `-m` flags), and a `KernelTable` per
+/// level is resolved at startup from a cpuid probe, optionally narrowed
+/// by the `FOURINDEX_CPU` environment override.
 ///
 /// Reproducibility contract: every level's kernels accumulate each C
 /// element's k-products in the same order, and the kernel translation
@@ -70,22 +70,54 @@ std::optional<IsaLevel> isa_from_env();
 /// snapshots it into the active engine config.
 IsaLevel resolve_isa();
 
-/// MR x NR panel micro-kernel over packed operands:
-/// `acc[MR][NR] += Apanel * Bpanel` with acc row-major (NR stride).
+/// MR x NR micro-kernel: `acc[MR][NR] += Apanel * B` with acc
+/// row-major (NR stride) and Apanel a packed MR-row micro-panel. Row p
+/// of the kc x NR block B is the NR adjacent doubles at `b + p*b_step`:
+/// a packed NR-column micro-panel has b_step = NR, and an unpacked
+/// operand whose NR columns are adjacent is read in place.
 using MicroKernelFn = void (*)(std::size_t kc, const double* a_panel,
-                               const double* b_panel, double* acc);
+                               const double* b, std::size_t b_step,
+                               double* acc);
+
+/// Full micro-tile update: `C += alpha * acc` for one MR x NR
+/// accumulator tile (row-major, NR stride), where C's row i, columns
+/// [4h, 4h+4) are the four contiguous doubles at `quads[i*NR/4 + h]`.
+/// Each element gets exactly `c + alpha * acc` at every level.
+using TileUpdateFn = void (*)(const double* acc, double alpha,
+                              double* const* quads);
+
+/// A GEMM operand as the packing routines read it. The operand may be
+/// a strided batch folded into one extent: element (r, p) — r a row of
+/// op(A) or a column of op(B), p the contraction index — lives at
+///
+///     x + (r / span) * stride + (r % span) * r_step + p * p_step
+///
+/// so each batch member owns `span` consecutive values of r and the
+/// members sit `stride` elements apart. A lone matrix is one member
+/// (`span` at least its extent). The transpose flag is folded into the
+/// two steps: op(A) = A has r_step = lda and p_step = 1, op(A) = A^T
+/// the reverse.
+struct StridedOperand {
+  const double* x;     ///< first element of member 0
+  std::size_t span;    ///< rows (A) / columns (B) per member; > 0
+  std::size_t stride;  ///< element distance between members
+  std::size_t r_step;  ///< element distance between adjacent r
+  std::size_t p_step;  ///< element distance between adjacent p
+};
 
 /// Pack an mc x kc block of op(A) starting at (row0, col0) into
-/// row-major micro-panels of MR rows (zero-padded to MR).
-using PackAFn = void (*)(const double* a, std::size_t lda, Trans trans_a,
-                         std::size_t row0, std::size_t col0, std::size_t mc,
-                         std::size_t kc, double* buf);
+/// row-major micro-panels of MR rows (zero-padded to MR). Panels may
+/// straddle batch members.
+using PackAFn = void (*)(const StridedOperand& a, std::size_t row0,
+                         std::size_t col0, std::size_t mc, std::size_t kc,
+                         double* buf);
 
 /// Pack a kc x nc block of op(B) starting at (row0, col0) into column
-/// micro-panels of NR columns (zero-padded to NR).
-using PackBFn = void (*)(const double* b, std::size_t ldb, Trans trans_b,
-                         std::size_t row0, std::size_t col0, std::size_t kc,
-                         std::size_t nc, double* buf);
+/// micro-panels of NR columns (zero-padded to NR). Panels may straddle
+/// batch members.
+using PackBFn = void (*)(const StridedOperand& b, std::size_t row0,
+                         std::size_t col0, std::size_t kc, std::size_t nc,
+                         double* buf);
 
 /// Contiguous level-1 axpy: y[i] += alpha * x[i].
 using AxpyFn = void (*)(std::size_t n, double alpha, const double* x,
@@ -115,7 +147,8 @@ using GemvTFn = void (*)(std::size_t m, std::size_t n, double alpha,
 /// exist — they are just never selected by resolve_isa()).
 struct KernelTable {
   IsaLevel level;            ///< the level this table implements
-  MicroKernelFn micro_kernel;///< MR x NR packed-panel kernel
+  MicroKernelFn micro_kernel;///< MR x NR micro-kernel
+  TileUpdateFn tile_update;  ///< full micro-tile C += alpha * acc
   PackAFn pack_a;            ///< A-side packing routine
   PackBFn pack_b;            ///< B-side packing routine
   AxpyFn axpy;               ///< level-1 y += alpha*x

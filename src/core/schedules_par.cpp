@@ -24,6 +24,7 @@
 namespace fit::core {
 
 using blas::gemm;
+using blas::gemm_batched;
 using blas::gemm_flops;
 using blas::Trans;
 using ga::GlobalArray;
@@ -370,6 +371,8 @@ void contract1(Par& par, const GlobalArray& a, GlobalArray& o1,
       const std::size_t lkl = ti.len[2] * ti.len[3];
       RankBuffer out(ctx, ti.elements, "O1 tile");
       RankBuffer abuf(ctx, nslots * max_tile, "A fetch");
+      // Landing slots for mirrored A tiles, which stay in their stored
+      // layout; charged as the model's transpose scratch.
       RankBuffer tbuf(ctx, nslots * max_tile, "A transpose");
       auto at = [&](RankBuffer& b, std::size_t s) {
         return ctx.real() ? b.data() + s * max_tile : nullptr;
@@ -388,14 +391,22 @@ void contract1(Par& par, const GlobalArray& a, GlobalArray& o1,
           },
           [&](std::size_t tii, std::size_t s) {
             const std::size_t leni = par.t.len(tii);
-            ctx.charge_flops(gemm_flops(ti.len[0], ti.len[1] * lkl, leni));
+            const std::size_t row = ti.len[1] * lkl;  // (j k l) extent
+            ctx.charge_flops(gemm_flops(ti.len[0], row, leni));
             if (ctx.real()) {
-              // out[a, (j k l)] += B[a, i] * abuf[i, (j k l)]
-              gemm(Trans::No, Trans::No, ti.len[0], ti.len[1] * lkl, leni,
-                   1.0,
-                   par.b() + par.t.lo(ta) * par.n() + par.t.lo(tii),
-                   par.n(), at(abuf, s), ti.len[1] * lkl, 1.0, out.data(),
-                   ti.len[1] * lkl);
+              // out[a, (j k l)] += B[a, i] * A[i, (j k l)]
+              const double* bt =
+                  par.b() + par.t.lo(ta) * par.n() + par.t.lo(tii);
+              const SymFetch& f = fetch[s];
+              if (!f.mirrored)
+                gemm(Trans::No, Trans::No, ti.len[0], row, leni, 1.0, bt,
+                     par.n(), f.data, row, 1.0, out.data(), row);
+              else
+                // The mirrored tile landed as [j][i][(k l)]: one member
+                // per j, writing out's (k l) columns of that j.
+                gemm_batched(Trans::No, Trans::No, ti.len[0], lkl, leni, 1.0,
+                             bt, par.n(), 0, f.data, lkl, leni * lkl, 1.0,
+                             out.data(), row, lkl, ti.len[1]);
             }
           });
       if (par.opt.overlap)
@@ -444,13 +455,13 @@ void contract2(Par& par, const GlobalArray& o1, GlobalArray& o2,
             const std::size_t lenj = par.t.len(tjj);
             ctx.charge_flops(
                 gemm_flops(ti.len[1], lkl, lenj) * double(ti.len[0]));
-            if (ctx.real()) {
-              for (std::size_t ia = 0; ia < ti.len[0]; ++ia)
-                gemm(Trans::No, Trans::No, ti.len[1], lkl, lenj, 1.0,
-                     par.b() + par.t.lo(tb) * par.n() + par.t.lo(tjj),
-                     par.n(), at(s) + ia * lenj * lkl, lkl, 1.0,
-                     out.data() + ia * ti.len[1] * lkl, lkl);
-            }
+            // One member per row a of the O1 tile; the B block is
+            // shared.
+            if (ctx.real())
+              gemm_batched(Trans::No, Trans::No, ti.len[1], lkl, lenj, 1.0,
+                           par.b() + par.t.lo(tb) * par.n() + par.t.lo(tjj),
+                           par.n(), 0, at(s), lkl, lenj * lkl, 1.0,
+                           out.data(), lkl, ti.len[1] * lkl, ti.len[0]);
           });
       if (par.opt.overlap)
         o2.nbput(ctx, ti.coord, out.data());
@@ -485,6 +496,7 @@ void contract3(Par& par, const GlobalArray& o2, GlobalArray& o3,
       const auto& ti = o3.tile_by_index(idx);
       RankBuffer out(ctx, ti.elements, "O3 tile");
       RankBuffer o2buf(ctx, nslots * max_tile, "O2 fetch");
+      // Landing slots for mirrored O2 tiles (see contract1).
       RankBuffer tbuf(ctx, nslots * max_tile, "O2 transpose");
       auto at = [&](RankBuffer& b, std::size_t s) {
         return ctx.real() ? b.data() + s * max_tile : nullptr;
@@ -500,8 +512,8 @@ void contract3(Par& par, const GlobalArray& o2, GlobalArray& o3,
               fetch[s] = nbget_sym_tile(o2, ctx, oc, 2, 3, at(o2buf, s),
                                         at(tbuf, s));
             } else {
-              fetch[s] = SymFetch{};
-              fetch[s].handle = o2.nbget(ctx, oc, at(o2buf, s));
+              fetch[s] = SymFetch{o2.nbget(ctx, oc, at(o2buf, s)), false,
+                                  at(o2buf, s)};
             }
           },
           [&](std::size_t, std::size_t s) {
@@ -509,15 +521,19 @@ void contract3(Par& par, const GlobalArray& o2, GlobalArray& o3,
           },
           [&](std::size_t tkk, std::size_t s) {
             const std::size_t lenk = par.t.len(tkk);
-            ctx.charge_flops(gemm_flops(ti.len[2], ti.len[3], lenk) *
+            const std::size_t lenc = ti.len[2], lenl = ti.len[3];
+            ctx.charge_flops(gemm_flops(lenc, lenl, lenk) *
                              double(ti.len[0] * ti.len[1]));
             if (ctx.real()) {
-              for (std::size_t iab = 0; iab < ti.len[0] * ti.len[1]; ++iab)
-                gemm(Trans::No, Trans::No, ti.len[2], ti.len[3], lenk, 1.0,
-                     par.b() + par.t.lo(tc) * par.n() + par.t.lo(tkk),
-                     par.n(), at(o2buf, s) + iab * lenk * ti.len[3],
-                     ti.len[3], 1.0,
-                     out.data() + iab * ti.len[2] * ti.len[3], ti.len[3]);
+              // One member per (a b) row, sharing the B block. A
+              // mirrored member landed as [l][k], i.e. transposed.
+              const SymFetch& f = fetch[s];
+              gemm_batched(Trans::No, f.mirrored ? Trans::Yes : Trans::No,
+                           lenc, lenl, lenk, 1.0,
+                           par.b() + par.t.lo(tc) * par.n() + par.t.lo(tkk),
+                           par.n(), 0, f.data, f.mirrored ? lenk : lenl,
+                           lenk * lenl, 1.0, out.data(), lenl, lenc * lenl,
+                           ti.len[0] * ti.len[1]);
             }
           });
       if (par.opt.overlap)
@@ -569,15 +585,15 @@ void contract4(Par& par, const GlobalArray& o3, GlobalArray& c,
             const std::size_t lenl = o3.tiling(3).len(tll);
             ctx.charge_flops(gemm_flops(ti.len[2], ti.len[3], lenl) *
                              double(ti.len[0] * ti.len[1]));
-            if (ctx.real()) {
-              for (std::size_t iab = 0; iab < ti.len[0] * ti.len[1]; ++iab)
-                gemm(Trans::No, Trans::Yes, ti.len[2], ti.len[3], lenl,
-                     1.0, at(s) + iab * ti.len[2] * lenl, lenl,
-                     par.b() + par.t.lo(td) * par.n() + l_base +
-                         o3.tiling(3).lo(tll),
-                     par.n(), 1.0,
-                     out.data() + iab * ti.len[2] * ti.len[3], ti.len[3]);
-            }
+            // One member per (a b) row, sharing the B block: the rows
+            // are contiguous, so the batch folds into one tall pass.
+            if (ctx.real())
+              gemm_batched(Trans::No, Trans::Yes, ti.len[2], ti.len[3], lenl,
+                           1.0, at(s), lenl, ti.len[2] * lenl,
+                           par.b() + par.t.lo(td) * par.n() + l_base +
+                               o3.tiling(3).lo(tll),
+                           par.n(), 0, 1.0, out.data(), ti.len[3],
+                           ti.len[2] * ti.len[3], ti.len[0] * ti.len[1]);
           });
       if (accumulate) {
         if (par.opt.overlap)
@@ -598,16 +614,21 @@ tensor::PackedC gather_c(const Par& par, const GlobalArray& c) {
   tensor::PackedC out(par.n(), par.p.irreps);
   for (std::size_t idx = 0; idx < c.n_tiles(); ++idx) {
     const auto& ti = c.tile_by_index(idx);
+    // The tile payload, row-major over the tile's four extents.
+    const double* v = c.tile_data(idx).data();
     for (std::size_t a = ti.lo[0]; a < ti.lo[0] + ti.len[0]; ++a)
       for (std::size_t b = ti.lo[1]; b < ti.lo[1] + ti.len[1]; ++b) {
-        if (b > a) continue;
+        if (b > a) {
+          v += ti.len[2] * ti.len[3];
+          continue;
+        }
         const auto hab = par.p.irreps.pair_irrep(a, b);
         for (std::size_t cc = ti.lo[2]; cc < ti.lo[2] + ti.len[2]; ++cc)
-          for (std::size_t d = ti.lo[3]; d < ti.lo[3] + ti.len[3]; ++d) {
+          for (std::size_t d = ti.lo[3]; d < ti.lo[3] + ti.len[3];
+               ++d, ++v) {
             if (d > cc) continue;
             if (par.p.irreps.pair_irrep(cc, d) != hab) continue;
-            out.add(a, b, cc, d,
-                    c.peek(std::vector<std::size_t>{a, b, cc, d}));
+            out.add(a, b, cc, d, *v);
           }
       }
   }
@@ -973,12 +994,12 @@ void fused_inner_slices(Par& par,
                 const std::size_t lenb = par.t.len(tb);
                 RankBuffer o2tile(ctx, lena * lenb * m, "O2 tile");
                 ctx.charge_flops(gemm_flops(lenb, m, n) * double(lena));
+                // One member per alpha row of the O1 block.
                 if (ctx.real())
-                  for (std::size_t ia = 0; ia < lena; ++ia)
-                    gemm(Trans::No, Trans::No, lenb, m, n, 1.0,
-                         par.b() + par.t.lo(tb) * n, n,
-                         o1blk.data() + ia * n * m, m, 0.0,
-                         o2tile.data() + ia * lenb * m, m);
+                  gemm_batched(Trans::No, Trans::No, lenb, m, n, 1.0,
+                               par.b() + par.t.lo(tb) * n, n, 0,
+                               o1blk.data(), m, n * m, 0.0, o2tile.data(), m,
+                               lenb * m, lena);
                 // Nonblocking: the O2 tile is consumed at issue, so the
                 // put hides behind the next (tb / ta) iteration's gemm.
                 if (par.opt.overlap)
@@ -1062,10 +1083,9 @@ void fused_inner_slices(Par& par,
             RankBuffer bufo3(ctx, lena * lenb * n * llen, "O3 block");
             ctx.charge_flops(gemm_flops(n, llen, n) * double(lena * lenb));
             if (ctx.real())
-              for (std::size_t iab = 0; iab < lena * lenb; ++iab)
-                gemm(Trans::No, Trans::No, n, llen, n, 1.0, par.b(), n,
-                     bufo2.data() + iab * n * llen, llen, 0.0,
-                     bufo3.data() + iab * n * llen, llen);
+              gemm_batched(Trans::No, Trans::No, n, llen, n, 1.0, par.b(), n,
+                           0, bufo2.data(), llen, n * llen, 0.0,
+                           bufo3.data(), llen, n * llen, lena * lenb);
             for (std::size_t tc = 0; tc < par.nt; ++tc)
               for (std::size_t td = 0; td <= tc; ++td) {
                 if (!par.tile_allowed(ta, tb, tc, td)) continue;
@@ -1074,12 +1094,14 @@ void fused_inner_slices(Par& par,
                 RankBuffer ctile(ctx, lena * lenb * lenc * lend, "C tile");
                 ctx.charge_flops(gemm_flops(lenc, lend, llen) *
                                  double(lena * lenb));
+                // One member per (a b) row; the B block is shared, so
+                // the members fold into one tall pass.
                 if (ctx.real())
-                  for (std::size_t iab = 0; iab < lena * lenb; ++iab)
-                    gemm(Trans::No, Trans::Yes, lenc, lend, llen, 1.0,
-                         bufo3.data() + (iab * n + par.t.lo(tc)) * llen, llen,
-                         par.b() + par.t.lo(td) * n + llo, n, 1.0,
-                         ctile.data() + iab * lenc * lend, lend);
+                  gemm_batched(Trans::No, Trans::Yes, lenc, lend, llen, 1.0,
+                               bufo3.data() + par.t.lo(tc) * llen, llen,
+                               n * llen, par.b() + par.t.lo(td) * n + llo, n,
+                               0, 1.0, ctile.data(), lend, lenc * lend,
+                               lena * lenb);
                 // Nonblocking: the accumulate lands at issue (under the
                 // GA acc mutex); its wire time hides behind the next
                 // (tc,td) tile's gemm.

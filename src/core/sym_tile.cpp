@@ -1,69 +1,27 @@
 #include "core/sym_tile.hpp"
 
-#include <algorithm>
+#include <utility>
 
 namespace fit::core {
-
-void transpose4(const double* in, double* out, const std::size_t len[4],
-                int d0, int d1) {
-  std::size_t olen[4] = {len[0], len[1], len[2], len[3]};
-  std::swap(olen[d0], olen[d1]);
-  std::size_t c[4];
-  for (c[0] = 0; c[0] < len[0]; ++c[0])
-    for (c[1] = 0; c[1] < len[1]; ++c[1])
-      for (c[2] = 0; c[2] < len[2]; ++c[2])
-        for (c[3] = 0; c[3] < len[3]; ++c[3]) {
-          std::size_t oc[4] = {c[0], c[1], c[2], c[3]};
-          std::swap(oc[d0], oc[d1]);
-          out[((oc[0] * olen[1] + oc[1]) * olen[2] + oc[2]) * olen[3] +
-              oc[3]] =
-              in[((c[0] * len[1] + c[1]) * len[2] + c[2]) * len[3] + c[3]];
-        }
-}
-
-void get_sym_tile(const ga::GlobalArray& arr, runtime::RankCtx& ctx,
-                  ga::TileCoord coord, int d0, int d1, double* buf,
-                  double* scratch) {
-  if (coord[d0] >= coord[d1]) {
-    arr.get(ctx, coord, buf);
-    return;
-  }
-  ga::TileCoord mirrored = coord;
-  std::swap(mirrored[d0], mirrored[d1]);
-  arr.get(ctx, mirrored, scratch);
-  if (ctx.real()) {
-    const auto& info = arr.info(mirrored);
-    std::size_t len[4] = {info.len[0], info.len[1], info.len[2],
-                          info.len[3]};
-    transpose4(scratch, buf, len, d0, d1);
-  }
-}
 
 SymFetch nbget_sym_tile(const ga::GlobalArray& arr, runtime::RankCtx& ctx,
                         ga::TileCoord coord, int d0, int d1, double* buf,
                         double* scratch) {
   SymFetch f;
-  f.d0 = d0;
-  f.d1 = d1;
-  f.buf = buf;
-  f.scratch = scratch;
   if (coord[d0] >= coord[d1]) {
+    f.data = buf;
     f.handle = arr.nbget(ctx, coord, buf);
     return f;
   }
-  ga::TileCoord mirrored = coord;
-  std::swap(mirrored[d0], mirrored[d1]);
+  std::swap(coord[d0], coord[d1]);
   f.mirrored = true;
-  const auto& info = arr.info(mirrored);
-  for (int d = 0; d < 4; ++d) f.len[d] = info.len[d];
-  f.handle = arr.nbget(ctx, mirrored, scratch);
+  f.data = scratch;
+  f.handle = arr.nbget(ctx, coord, scratch);
   return f;
 }
 
 void finish_sym_tile(runtime::RankCtx& ctx, const SymFetch& fetch) {
   ctx.wait_transfer(fetch.handle);
-  if (fetch.mirrored && ctx.real())
-    transpose4(fetch.scratch, fetch.buf, fetch.len, fetch.d0, fetch.d1);
 }
 
 }  // namespace fit::core

@@ -2,11 +2,12 @@
 //
 // Arrays whose dims (d0,d1) form a symmetric index pair store only the
 // unique tiles (tile[d0] >= tile[d1]). A logical tile below the
-// diagonal is materialized by fetching the mirrored stored tile and
-// transposing dims d0/d1 locally. get_sym_tile is the blocking form
-// the schedules have always used; nbget_sym_tile/finish_sym_tile split
-// it around a nonblocking GA get so the wire time can overlap compute
-// (the transpose runs at finish, after the data has "arrived").
+// diagonal is served by the mirrored stored tile exactly as stored:
+// its data lands with dims d0/d1 swapped, and the consumer reads it
+// through swapped strides (the schedules hand them to
+// blas::gemm_batched) instead of copying it into the requested
+// orientation. nbget_sym_tile/finish_sym_tile split the fetch around a
+// nonblocking GA get so the wire time can overlap compute.
 #pragma once
 
 #include <cstddef>
@@ -15,54 +16,36 @@
 #include "runtime/cluster.hpp"
 
 /// \file
-/// \brief Symmetric-pair tile fetches (blocking and nonblocking) over
-/// triangular GA storage.
+/// \brief Nonblocking symmetric-pair tile fetches over triangular GA
+/// storage.
 
 namespace fit::core {
 
-/// Transpose two dimensions of a dense row-major 4-D tile. `len` gives
-/// the input extents; output extents have d0/d1 swapped.
-void transpose4(const double* in, double* out, const std::size_t len[4],
-                int d0, int d1);
-
-/// Fetch tile (c0,c1,rest...) of an array whose dims (d0,d1) form a
-/// triangular-stored symmetric pair: when c[d0] < c[d1] the mirrored
-/// tile is fetched and transposed. `buf` receives the tile in the
-/// requested orientation; `scratch` must be at least as large.
-void get_sym_tile(const ga::GlobalArray& arr, runtime::RankCtx& ctx,
-                  ga::TileCoord coord, int d0, int d1, double* buf,
-                  double* scratch);
-
 /// An in-flight symmetric-tile fetch started by nbget_sym_tile. The
-/// `buf`/`scratch` pointers it was issued with must stay valid (and
-/// untouched) until finish_sym_tile runs.
+/// buffer it lands in must stay valid (and untouched) until
+/// finish_sym_tile runs.
 struct SymFetch {
   /// Handle of the underlying nonblocking GA get.
   ga::GlobalArray::NbHandle handle;
-  /// True when the data landed transposed in `scratch`.
+  /// True when the mirrored stored tile was fetched: `data` then holds
+  /// the requested tile with dims d0/d1 swapped (the stored layout).
   bool mirrored = false;
-  /// Stored-tile extents.
-  std::size_t len[4] = {0, 0, 0, 0};
-  /// First dimension of the symmetric pair.
-  int d0 = 0;
-  /// Second dimension of the symmetric pair.
-  int d1 = 0;
-  /// Destination buffer (requested orientation).
-  double* buf = nullptr;
-  /// Landing buffer for mirrored fetches.
-  double* scratch = nullptr;
+  /// Where the tile lands: the `buf` nbget_sym_tile was given, or its
+  /// `scratch` for a mirrored fetch (nullptr in Simulate mode).
+  const double* data = nullptr;
 };
 
-/// Nonblocking get_sym_tile: issues the GA nbget (into `buf` directly
-/// for stored tiles, into `scratch` for mirrored ones) and returns the
-/// in-flight fetch descriptor.
+/// Fetch tile `coord` of an array whose dims (d0,d1) form a
+/// triangular-stored symmetric pair. When coord[d0] >= coord[d1] the
+/// stored tile is fetched into `buf`; otherwise the mirrored stored
+/// tile (d0/d1 coordinates swapped) is fetched, untransposed, into
+/// `scratch`. Returns the in-flight fetch descriptor.
 SymFetch nbget_sym_tile(const ga::GlobalArray& arr, runtime::RankCtx& ctx,
                         ga::TileCoord coord, int d0, int d1, double* buf,
                         double* scratch);
 
-/// Complete a SymFetch: wait for the transfer and, for mirrored tiles,
-/// transpose scratch into buf. After this `buf` holds exactly what
-/// get_sym_tile would have produced. Idempotent like wait_transfer.
+/// Complete a SymFetch: wait for its transfer. Idempotent like
+/// wait_transfer.
 void finish_sym_tile(runtime::RankCtx& ctx, const SymFetch& fetch);
 
 }  // namespace fit::core

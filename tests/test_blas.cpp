@@ -114,6 +114,9 @@ INSTANTIATE_TEST_SUITE_P(
         GemmCase{257, 33, 129, Trans::No, Trans::No, 1.0, 0.0},
         GemmCase{40, 520, 12, Trans::No, Trans::No, 1.0, 0.0},
         GemmCase{5, 1, 600, Trans::No, Trans::No, 1.0, 0.0},
+        // Short M over untransposed B with a multiple-of-NR width: B is
+        // read in place, across KC blocks.
+        GemmCase{8, 24, 600, Trans::No, Trans::No, 1.0, 0.5},
         GemmCase{1, 300, 300, Trans::Yes, Trans::Yes, 0.25, 0.0}));
 
 TEST(Gemm, ZeroDimensionsAreNoops) {
@@ -301,6 +304,72 @@ TEST(GemmEngine, MetricsAccumulate) {
   EXPECT_DOUBLE_EQ(reg.sum("gemm.calls") - calls0, 1.0);
   EXPECT_DOUBLE_EQ(reg.sum("gemm.flops") - flops0,
                    fit::blas::gemm_flops(n, n, n));
+}
+
+// A batched call is one engine call carrying the whole batch's flops
+// and packing traffic.
+TEST(GemmEngine, BatchedCallCountsOnce) {
+  auto& reg = fit::blas::gemm_metrics();
+  reg.counter("gemm.calls");
+  reg.counter("gemm.flops");
+  reg.counter("gemm.pack_bytes");
+  const double calls0 = reg.sum("gemm.calls");
+  const double flops0 = reg.sum("gemm.flops");
+  const double pack0 = reg.sum("gemm.pack_bytes");
+  const std::size_t m = 6, n = 10, k = 7, batch = 5;
+  auto a = random_vec(m * k, 1);
+  auto b = random_vec(batch * k * n, 2);
+  std::vector<double> c(batch * m * n, 0.0);
+  fit::blas::gemm_batched(Trans::No, Trans::No, m, n, k, 1.0, a.data(), k, 0,
+                          b.data(), n, k * n, 0.0, c.data(), n, m * n, batch);
+  EXPECT_DOUBLE_EQ(reg.sum("gemm.calls") - calls0, 1.0);
+  EXPECT_DOUBLE_EQ(reg.sum("gemm.flops") - flops0,
+                   5.0 * fit::blas::gemm_flops(m, n, k));
+  EXPECT_GT(reg.sum("gemm.pack_bytes") - pack0, 0.0);
+}
+
+// Small products (m*n*k < 32^3) contract in one kc = k block even when
+// k exceeds the blocking's KC: every C element keeps the single
+// left-to-right accumulator of a plain triple loop, then one
+// alpha-scaled add into the beta-scaled C.
+TEST(GemmSmall, KeepsSingleAccumulatorOrderBeyondKC) {
+  const auto base = fit::blas::gemm_config();
+  for (const std::size_t kc : {std::size_t{8}, base.kc}) {
+    auto cfg = base;
+    cfg.kc = kc;
+    fit::blas::set_gemm_config(cfg);
+    const std::size_t m = 3, n = 5, k = 2 * base.kc + 19;  // k > KC
+    ASSERT_LT(m * n * k, 32u * 32 * 32);
+    for (const Trans ta : {Trans::No, Trans::Yes})
+      for (const Trans tb : {Trans::No, Trans::Yes})
+        for (const double beta : {0.0, 1.0, 0.5}) {
+          const std::size_t lda = (ta == Trans::No ? k : m) + 1;
+          const std::size_t ldb = (tb == Trans::No ? n : k) + 2;
+          const auto a = random_vec((ta == Trans::No ? m : k) * lda, 3);
+          const auto b = random_vec((tb == Trans::No ? k : n) * ldb, 4);
+          const auto c0 = random_vec(m * n, 5);
+          const double alpha = -0.75;
+          std::vector<double> want = c0;
+          for (std::size_t i = 0; i < m; ++i)
+            for (std::size_t j = 0; j < n; ++j) {
+              double acc = 0.0;
+              for (std::size_t p = 0; p < k; ++p)
+                acc += (ta == Trans::No ? a[i * lda + p] : a[p * lda + i]) *
+                       (tb == Trans::No ? b[p * ldb + j] : b[j * ldb + p]);
+              double& cij = want[i * n + j];
+              cij = beta == 0.0 ? 0.0 : (beta == 1.0 ? cij : cij * beta);
+              cij += alpha * acc;
+            }
+          std::vector<double> got = c0;
+          fit::blas::gemm(ta, tb, m, n, k, alpha, a.data(), lda, b.data(),
+                          ldb, beta, got.data(), n);
+          ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                                   got.size() * sizeof(double)))
+              << "kc=" << kc << " ta=" << int(ta) << " tb=" << int(tb)
+              << " beta=" << beta;
+        }
+  }
+  fit::blas::set_gemm_config(base);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "blas/tune.hpp"
 #include "obs/metrics.hpp"
 #include "util/cpuid.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -65,6 +66,7 @@ TEST(Dispatch, EveryTableEntryIsNonNullAtEveryLevel) {
     const auto& t = fit::blas::kernel_table_for(level_of(i));
     EXPECT_EQ(t.level, level_of(i));
     EXPECT_NE(t.micro_kernel, nullptr) << fit::blas::isa_name(level_of(i));
+    EXPECT_NE(t.tile_update, nullptr);
     EXPECT_NE(t.pack_a, nullptr);
     EXPECT_NE(t.pack_b, nullptr);
     EXPECT_NE(t.axpy, nullptr);
@@ -286,6 +288,111 @@ TEST(DispatchKsplit, MatchesReferenceAndIsThreadCountInvariant) {
     }
   }
   fit::blas::set_gemm_config(base);
+}
+
+// gemm_batched folds a batch into one blocked pass — into N when A is
+// shared, into M when B is shared — with micro-tiles that straddle
+// members. Every member must still get exactly the bits of a lone gemm
+// call: at every runnable level and lane count, for every Trans pair
+// and beta, with member extents that are not multiples of MR/NR, with
+// k beyond KC (small and blocked members, and the k-split reduction), and
+// with C members stacked or interleaved column-wise in shared rows.
+TEST(DispatchBatched, BitMatchesLoopOfGemmCalls) {
+  const auto base = fit::blas::gemm_config();
+  const IsaLevel widest = fit::blas::detected_isa();
+  struct Shape {
+    std::size_t m, n, k;
+  };
+  // (5,13,200) is small with k > KC = 16 while the batch of three is
+  // not (the rules must see one member); (7,11,600) is blocked with
+  // k > KC at the default blocking; (5,50,150) takes the k-split
+  // reduction under auto k-split; (33,17,64) spans several MC/NC blocks.
+  // (5,16,40) and (5,24,300) have member widths that are multiples of
+  // NR and at most 16 rows even when B is shared, so passes over
+  // untransposed B read it in place (small and blocked, across NC
+  // blocks at NC = 16).
+  const Shape shapes[] = {{5, 13, 200}, {7, 11, 600}, {5, 50, 150},
+                          {6, 9, 1},    {33, 17, 64}, {5, 16, 40},
+                          {5, 24, 300}};
+  struct Blocking {
+    std::size_t kc, mc, nc, ksplit;
+  };
+  const Blocking blockings[] = {{base.kc, base.mc, base.nc, 1},
+                                {16, 8, 16, 1},
+                                {16, 8, 16, 0}};
+  enum Sharing { SharedA, SharedB, Unshared, SharedBoth };
+  const std::size_t batch = 3;
+  int iter = 0;
+  for (const Shape& sh : shapes)
+    for (const Sharing sharing : {SharedA, SharedB, Unshared, SharedBoth})
+      for (const Trans ta : {Trans::No, Trans::Yes})
+        for (const Trans tb : {Trans::No, Trans::Yes})
+          for (const double beta : {0.0, 1.0, 0.5}) {
+            const std::size_t m = sh.m, n = sh.n, k = sh.k;
+            const bool interleaved = (iter++ % 2) == 1;
+            const double alpha = interleaved ? -0.5 : 1.0;
+            const std::size_t lda = (ta == Trans::No ? k : m) + 2;
+            const std::size_t ldb = (tb == Trans::No ? n : k) + 1;
+            const std::size_t arows = ta == Trans::No ? m : k;
+            const std::size_t brows = tb == Trans::No ? k : n;
+            const std::size_t sa =
+                (sharing == SharedA || sharing == SharedBoth) ? 0
+                                                              : arows * lda + 3;
+            const std::size_t sb =
+                (sharing == SharedB || sharing == SharedBoth) ? 0
+                                                              : brows * ldb + 5;
+            // C members stacked block after block, or interleaved as
+            // column groups of shared rows.
+            const std::size_t ldc = interleaved ? batch * n + 1 : n + 3;
+            const std::size_t sc = interleaved ? n : m * ldc + 1;
+            const auto a = random_vec(arows * lda + (batch - 1) * sa, iter);
+            const auto b = random_vec(brows * ldb + (batch - 1) * sb,
+                                      iter + 1000);
+            const auto c0 =
+                random_vec(m * ldc + (batch - 1) * sc, iter + 2000);
+            for (const Blocking& bl : blockings)
+              for (int lvl = 0; lvl <= static_cast<int>(widest); ++lvl)
+                for (const std::size_t threads :
+                     {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+                  auto cfg = base;
+                  cfg.kc = bl.kc;
+                  cfg.mc = bl.mc;
+                  cfg.nc = bl.nc;
+                  cfg.ksplit = bl.ksplit;
+                  cfg.isa = level_of(lvl);
+                  cfg.deterministic = false;
+                  cfg.threads = threads;
+                  fit::blas::set_gemm_config(cfg);
+                  std::vector<double> want = c0;
+                  for (std::size_t i = 0; i < batch; ++i)
+                    fit::blas::gemm(ta, tb, m, n, k, alpha,
+                                    a.data() + i * sa, lda,
+                                    b.data() + i * sb, ldb, beta,
+                                    want.data() + i * sc, ldc);
+                  std::vector<double> got = c0;
+                  fit::blas::gemm_batched(ta, tb, m, n, k, alpha, a.data(),
+                                          lda, sa, b.data(), ldb, sb, beta,
+                                          got.data(), ldc, sc, batch);
+                  ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                                           got.size() * sizeof(double)))
+                      << "level=" << fit::blas::isa_name(level_of(lvl))
+                      << " threads=" << threads << " m=" << m << " n=" << n
+                      << " k=" << k << " sharing=" << sharing
+                      << " ta=" << int(ta) << " tb=" << int(tb)
+                      << " beta=" << beta << " kc=" << bl.kc
+                      << " ksplit=" << bl.ksplit
+                      << " interleaved=" << interleaved;
+                }
+          }
+  fit::blas::set_gemm_config(base);
+}
+
+TEST(DispatchBatched, RejectsMembersSharingC) {
+  std::vector<double> a(4, 1.0), b(4, 1.0), c(4, 0.0);
+  EXPECT_THROW(fit::blas::gemm_batched(Trans::No, Trans::No, 2, 2, 2, 1.0,
+                                       a.data(), 2, 0, b.data(), 2, 0, 0.0,
+                                       c.data(), 2, 0, 2),
+               fit::Error);
 }
 
 TEST(Dispatch, GemmReportsIsaMetric) {

@@ -849,8 +849,9 @@ TEST(DeltaCheckpoint, RestoresBitIdenticallyAndWritesLessThanFullCopy) {
     faulty.install_faults(inj);
     const auto got = core::fused_par_transform(p, faulty, opt);
     EXPECT_TRUE(got.c.has_value());
-    if (got.c.has_value())
+    if (got.c.has_value()) {
       EXPECT_EQ(got.c->max_abs_diff(*ref.c), 0.0);  // exact recovery
+    }
     const auto& reg = faulty.metrics();
     EXPECT_TRUE(faulty.is_dead(2));
     EXPECT_GE(reg.sum("checkpoint.restores"), 1.0);

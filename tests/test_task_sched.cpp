@@ -199,8 +199,9 @@ TEST(PlanTasks, MitigatedPlansPartitionTheTaskSetDeterministically) {
       for (std::size_t i = 0; i < a.claims[r].size(); ++i) {
         EXPECT_EQ(a.claims[r][i].task, c.claims[r][i].task);
         EXPECT_EQ(a.claims[r][i].wait_s, c.claims[r][i].wait_s);
-        if (a.claims[r][i].fetched)
+        if (a.claims[r][i].fetched) {
           EXPECT_NE(a.claims[r][i].home, ga::TaskClaim::kNone);
+        }
       }
     }
   }
@@ -484,8 +485,9 @@ TEST(TaskSched, DynamicModesAreBitIdenticalToStatic) {
     // Same tasks, same bodies, one writer per output tile per phase:
     // the result does not merely agree, it is bit-identical.
     EXPECT_EQ(r.c->max_abs_diff(*rs.c), 0.0);
-    if (b != ga::Balance::Auto)  // Auto may legitimately pick Static
+    if (b != ga::Balance::Auto) {  // Auto may legitimately pick Static
       EXPECT_GT(r.stats.sched_claims, 0.0);
+    }
     if (b == ga::Balance::Counter) {
       EXPECT_GT(cl.metrics().sum("sched.counter_waits"), 0.0);
       EXPECT_GE(r.stats.sched_counter_wait_s, 0.0);
