@@ -12,11 +12,22 @@
 // FOURINDEX_THREADS unset or 1 so the cluster executes its ranks on
 // one host thread too (the CPU clock counts every thread either way).
 //
+// A second measurement times the integral fill alone on wall clocks:
+// every tile of the packed A grid (ti >= tj, tk >= tl) of the same
+// problem, filled with IntegralEngine::fill_block on the calling thread
+// and again split by tile over a two-lane util::ThreadPool built once.
+// Each side runs the same number of sweeps, calibrated so a two-lane
+// window takes at least 30 ms (each side stays above 20 ms through host
+// noise), and each rep reports one-lane wall over two-lane wall. A fill
+// that writes shared state per element (an evaluation counter, say)
+// bounces a cache line between the lanes and reads below 1.
+//
 // Scalars: real.<schedule>.host_gflops for par_unfused, par_fused,
 // par_fused_inner and seq_unfused, real.<schedule>.gemm_calls (engine
-// calls per transform), and real.par_fused_inner_vs_seq — the ratio
-// CI's bench-smoke job gates (>= 0.5). FOURINDEX_BENCH_SMOKE=1 runs
-// fewer reps.
+// calls per transform), real.par_fused_inner_vs_seq, and
+// real.fill.two_lane_speedup (median over the reps). CI's bench-smoke
+// job gates both ratios (>= 0.5 and >= 1.3). FOURINDEX_BENCH_SMOKE=1
+// runs fewer reps.
 #include <algorithm>
 #include <cstdlib>
 #include <ctime>
@@ -32,7 +43,10 @@
 #include "obs/metrics.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/machine.hpp"
+#include "tensor/tiling.hpp"
 #include "util/format.hpp"
+#include "util/thread_pool.hpp"
+#include "util/timer.hpp"
 
 namespace {
 
@@ -54,6 +68,74 @@ double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   const std::size_t h = v.size() / 2;
   return v.size() % 2 ? v[h] : 0.5 * (v[h - 1] + v[h]);
+}
+
+struct FillTiming {
+  double one_lane_s = 0, two_lane_s = 0;  // medians of one window each
+  double elements = 0;                    // per window
+  double speedup = 0;                     // median of per-rep ratios
+};
+
+/// One-lane vs two-lane wall time to fill every tile of the packed A
+/// grid (see the file comment).
+FillTiming time_fill(const chem::IntegralEngine& engine, std::size_t tile,
+                     int reps) {
+  struct Box {
+    chem::IntegralEngine::Index4 lo, len;
+  };
+  const tensor::Tiling t(engine.n(), tile);
+  std::vector<Box> boxes;
+  double elements = 0;
+  for (std::size_t ti = 0; ti < t.ntiles(); ++ti)
+    for (std::size_t tj = 0; tj <= ti; ++tj)
+      for (std::size_t tk = 0; tk < t.ntiles(); ++tk)
+        for (std::size_t tl = 0; tl <= tk; ++tl) {
+          boxes.push_back({{t.lo(ti), t.lo(tj), t.lo(tk), t.lo(tl)},
+                           {t.len(ti), t.len(tj), t.len(tk), t.len(tl)}});
+          elements += static_cast<double>(t.len(ti) * t.len(tj) *
+                                          t.len(tk) * t.len(tl));
+        }
+  const std::size_t tile_max = t.max_width() * t.max_width() *
+                               t.max_width() * t.max_width();
+  std::vector<double> out[2] = {std::vector<double>(tile_max),
+                                std::vector<double>(tile_max)};
+  std::size_t sweeps = 1;
+  // Lane `lane` of `lanes` fills every lanes-th tile, `sweeps` times.
+  auto fill = [&](std::size_t lane, std::size_t lanes) {
+    for (std::size_t s = 0; s < sweeps; ++s)
+      for (std::size_t b = lane; b < boxes.size(); b += lanes)
+        engine.fill_block(boxes[b].lo, boxes[b].len, out[lane].data());
+  };
+  util::ThreadPool pool(2);
+  auto one_lane = [&] {
+    WallTimer w;
+    fill(0, 1);
+    return w.seconds();
+  };
+  auto two_lanes = [&] {
+    WallTimer w;
+    pool.run_tasks(2, [&](std::size_t lane) { fill(lane, 2); });
+    return w.seconds();
+  };
+  while (two_lanes() < 0.03) sweeps *= 2;
+
+  std::vector<double> t1, t2, ratio;
+  for (int rep = 0; rep < reps; ++rep) {
+    // Alternate which side goes first, so drift hits both alike.
+    double one = 0, two = 0;
+    if (rep % 2) {
+      two = two_lanes();
+      one = one_lane();
+    } else {
+      one = one_lane();
+      two = two_lanes();
+    }
+    t1.push_back(one);
+    t2.push_back(two);
+    ratio.push_back(one / two);
+  }
+  return {median(t1), median(t2), elements * static_cast<double>(sweeps),
+          median(ratio)};
 }
 
 }  // namespace
@@ -136,6 +218,23 @@ int main() {
   report.add_table(title, t);
   report.add_note("cluster host threads: " + std::to_string(host_threads));
   std::cout << "par-fused-inner / seq-unfused = " << fmt_fixed(ratio, 3)
+            << "\n";
+
+  const FillTiming fill = time_fill(p.engine, 8, reps);
+  TextTable ft({"lanes", "wall ms (median)", "ns per element"});
+  ft.add_row({"1", fmt_fixed(fill.one_lane_s * 1e3, 1),
+              fmt_fixed(fill.one_lane_s / fill.elements * 1e9, 2)});
+  ft.add_row({"2", fmt_fixed(fill.two_lane_s * 1e3, 1),
+              fmt_fixed(fill.two_lane_s / fill.elements * 1e9, 2)});
+  report.add_scalar("real.fill.two_lane_speedup", fill.speedup);
+  const std::string fill_title =
+      "Integral fill of every packed A tile, one lane vs two (wall clock, "
+      "median of " +
+      std::to_string(reps) + "; " + human_count(fill.elements) +
+      " elements per window)";
+  ft.print(fill_title);
+  report.add_table(fill_title, ft);
+  std::cout << "fill two-lane speedup = " << fmt_fixed(fill.speedup, 3)
             << "\n";
   const std::string written = report.write();
   if (!written.empty()) std::cout << "bench JSON: " << written << "\n";

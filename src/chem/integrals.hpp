@@ -19,8 +19,14 @@
 //    (required by the recompute schedule of Listing 3),
 //  * an evaluation counter, so cost models can charge for integral
 //    generation.
+//
+// Schedules fill A a box at a time (fill_block): one range check and one
+// counter update per box, and the terms that depend only on (i, j) are
+// computed once per (i, j) row. value() is the 1x1x1x1 box, so there is
+// one copy of the formula.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -41,14 +47,24 @@ class IntegralEngine {
   std::size_t n() const { return n_; }
   const tensor::Irreps& irreps() const { return irreps_; }
 
+  /// (i, j, k, l) corner or extent of a box of A.
+  using Index4 = std::array<std::size_t, 4>;
+
   /// A(i,j,k,l). Pure in the indices; symmetric in (i,j) and (k,l);
-  /// zero on spatially forbidden quadruples.
+  /// zero on spatially forbidden quadruples. The 1x1x1x1 fill_block.
   double value(std::size_t i, std::size_t j, std::size_t k,
                std::size_t l) const;
 
-  /// Number of value() evaluations since construction (counts every
-  /// call, including re-computation). Thread-safe under the threaded
-  /// executor.
+  /// Write the box [lo, lo + len) of A to `out`, row-major over
+  /// (i, j, k, l) with l fastest (the GA tile layout). Each element is
+  /// bit-identical to value() at the same indices; forbidden ones are
+  /// 0.0. Throws if the box reaches past n. Adds the box's volume to
+  /// the evaluation counter in one update.
+  void fill_block(const Index4& lo, const Index4& len, double* out) const;
+
+  /// Integral evaluations since construction: every element of every
+  /// box, forbidden ones and re-computation included. Thread-safe
+  /// under the threaded executor.
   std::uint64_t evaluations() const { return evaluations_.load(); }
   void reset_evaluations() { evaluations_ = 0; }
 

@@ -71,6 +71,7 @@ tensor::AntisymPackedC antisym_fused1234_transform(const AntisymProblem& p,
   WallTimer timer;
   MemMeter mem;
   SeqStats local;
+  const std::uint64_t evals0 = p.engine.evaluations();
 
   AntisymPackedC c(n, p.irreps);
   mem.alloc(np * n + n * n * n + np * n + np * n + n * n);
@@ -134,7 +135,7 @@ tensor::AntisymPackedC antisym_fused1234_transform(const AntisymProblem& p,
   }
   mem.release(np * n + n * n * n + np * n + np * n + n * n);
 
-  local.integral_evals = p.engine.evaluations();
+  local.integral_evals = p.engine.evaluations() - evals0;
   local.peak_words = mem.peak() + c.stored_elements();
   local.wall_seconds = timer.seconds();
   if (stats) *stats = local;

@@ -324,15 +324,10 @@ void fill_a(Par& par, GlobalArray& a, std::size_t l_base,
         const auto& ti = a.tile_by_index(idx);
         RankBuffer buf(ctx, ti.elements, "A tile");
         ctx.charge_integrals(static_cast<double>(ti.elements));
-        if (ctx.real()) {
-          double* out = buf.data();
-          for (std::size_t i = ti.lo[0]; i < ti.lo[0] + ti.len[0]; ++i)
-            for (std::size_t j = ti.lo[1]; j < ti.lo[1] + ti.len[1]; ++j)
-              for (std::size_t k = ti.lo[2]; k < ti.lo[2] + ti.len[2]; ++k)
-                for (std::size_t l = ti.lo[3]; l < ti.lo[3] + ti.len[3];
-                     ++l)
-                  *out++ = par.p.engine.value(i, j, k, l_base + l);
-        }
+        if (ctx.real())
+          par.p.engine.fill_block(
+              {ti.lo[0], ti.lo[1], ti.lo[2], l_base + ti.lo[3]},
+              {ti.len[0], ti.len[1], ti.len[2], ti.len[3]}, buf.data());
         // Nonblocking: the put's wire time hides behind the next tile's
         // integral evaluation (the buffer is consumed eagerly at issue,
         // so reusing it next iteration is safe); the phase barrier
@@ -1392,6 +1387,10 @@ ParResult nwchem_recompute_par_transform(const Problem& p, Cluster& cluster,
         RankBuffer o1buf(ctx, n * np, "O1 slice");
         RankBuffer o2buf(ctx, np, "O2 slice");
         RankBuffer o3row(ctx, n, "O3 row");
+        // Host buffer for one column A(:, j, k, l), outside the memory
+        // model: the modelled schedule consumes each integral as it is
+        // produced.
+        std::vector<double> acol(n);
         for (std::size_t ia = 0; ia < lena; ++ia) {
           const std::size_t aa = par.t.lo(ta) + ia;
           // Recompute the O1 slice for this alpha from on-the-fly
@@ -1403,9 +1402,11 @@ ParResult nwchem_recompute_par_transform(const Problem& p, Cluster& cluster,
             for (std::size_t j = 0; j < n; ++j)
               for (std::size_t pkl = 0; pkl < np; ++pkl) {
                 const auto [k, l] = tensor::unpack_pair(pkl);
+                prob.engine.fill_block({0, j, k, l}, {n, 1, 1, 1},
+                                       acol.data());
                 double acc = 0.0;
                 for (std::size_t i = 0; i < n; ++i)
-                  acc += prob.engine.value(i, j, k, l) * prob.b(aa, i);
+                  acc += acol[i] * prob.b(aa, i);
                 o1buf.data()[j * np + pkl] = acc;
               }
           }

@@ -118,15 +118,11 @@ tensor::PackedC unfused_transform(const Problem& p, SeqStats* stats) {
   WallTimer timer;
   MemMeter mem;
   SeqStats local;
+  const std::uint64_t evals0 = p.engine.evaluations();
 
   // ---- Materialize A[ij, kl] ----------------------------------------
   mem.alloc(np * np);
-  auto a = std::make_unique<PackedA>(n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j <= i; ++j)
-      for (std::size_t k = 0; k < n; ++k)
-        for (std::size_t l = 0; l <= k; ++l)
-          a->set(i, j, k, l, p.engine.value(i, j, k, l));
+  auto a = std::make_unique<PackedA>(p.engine.materialize());
 
   // ---- Contraction 1: O1[a, j, kl] = sum_i A[(ij), kl] B[a, i] ------
   mem.alloc(n * n * np);
@@ -195,7 +191,7 @@ tensor::PackedC unfused_transform(const Problem& p, SeqStats* stats) {
   o3.reset();
   mem.release(np * n * n);
 
-  local.integral_evals = p.engine.evaluations();
+  local.integral_evals = p.engine.evaluations() - evals0;
   local.peak_words = mem.peak();
   local.wall_seconds = timer.seconds();
   if (stats) *stats = local;
@@ -210,16 +206,12 @@ tensor::PackedC fused12_34_transform(const Problem& p, SeqStats* stats,
   WallTimer timer;
   MemMeter mem;
   SeqStats local;
+  const std::uint64_t evals0 = p.engine.evaluations();
 
   std::unique_ptr<PackedA> a;
   if (materialize_a) {
     mem.alloc(np * np);
-    a = std::make_unique<PackedA>(n);
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j <= i; ++j)
-        for (std::size_t k = 0; k < n; ++k)
-          for (std::size_t l = 0; l <= k; ++l)
-            a->set(i, j, k, l, p.engine.value(i, j, k, l));
+    a = std::make_unique<PackedA>(p.engine.materialize());
   }
 
   // ---- Phase 1 (fused contractions 1+2): for each (k>=l) slice,
@@ -236,13 +228,11 @@ tensor::PackedC fused12_34_transform(const Problem& p, SeqStats* stats,
           a->unpack_kl(k, l, akl);
         } else {
           // On-the-fly A slice: evaluate the canonical i>=j triangle
-          // and mirror (the engine is symmetric in (i, j)).
-          for (std::size_t i = 0; i < n; ++i)
-            for (std::size_t j = 0; j <= i; ++j) {
-              const double v = p.engine.value(i, j, k, l);
-              akl(i, j) = v;
-              akl(j, i) = v;
-            }
+          // row by row and mirror (the engine is symmetric in (i, j)).
+          for (std::size_t i = 0; i < n; ++i) {
+            p.engine.fill_block({i, 0, k, l}, {1, i + 1, 1, 1}, akl.row(i));
+            for (std::size_t j = 0; j < i; ++j) akl(j, i) = akl(i, j);
+          }
         }
         blas::gemm(blas::Trans::No, blas::Trans::No, n, n, n, 1.0, b.data(),
                    n, akl.data(), n, 0.0, o1buf.data(), n);
@@ -289,7 +279,7 @@ tensor::PackedC fused12_34_transform(const Problem& p, SeqStats* stats,
   o2.reset();
   mem.release(np * np);
 
-  local.integral_evals = p.engine.evaluations();
+  local.integral_evals = p.engine.evaluations() - evals0;
   local.peak_words = mem.peak();
   local.wall_seconds = timer.seconds();
   if (stats) *stats = local;
@@ -303,6 +293,7 @@ tensor::PackedC recompute_transform(const Problem& p, SeqStats* stats) {
   WallTimer timer;
   MemMeter mem;
   SeqStats local;
+  const std::uint64_t evals0 = p.engine.evaluations();
 
   const auto sizes = p.sizes();
   mem.alloc(sizes.c);
@@ -315,6 +306,7 @@ tensor::PackedC recompute_transform(const Problem& p, SeqStats* stats) {
   Matrix o1buf(n, np);             // o1buf[j, kl] for the current a
   std::vector<double> o2buf(np);   // o2buf[kl] for the current (a, b)
   std::vector<double> o3row(n);    // o3row[l] for the current c
+  std::vector<double> acol(n);     // A(:, j, k, l) for the current (j, k, l)
 
   for (std::size_t pab = 0; pab < np; ++pab) {
     const auto [aa, bb] = unpack_pair(pab);
@@ -324,9 +316,9 @@ tensor::PackedC recompute_transform(const Problem& p, SeqStats* stats) {
     for (std::size_t j = 0; j < n; ++j)
       for (std::size_t pkl = 0; pkl < np; ++pkl) {
         const auto [k, l] = unpack_pair(pkl);
+        p.engine.fill_block({0, j, k, l}, {n, 1, 1, 1}, acol.data());
         double acc = 0.0;
-        for (std::size_t i = 0; i < n; ++i)
-          acc += p.engine.value(i, j, k, l) * b(aa, i);
+        for (std::size_t i = 0; i < n; ++i) acc += acol[i] * b(aa, i);
         o1buf(j, pkl) = acc;
         local.flops += 2.0 * static_cast<double>(n);
       }
@@ -356,7 +348,7 @@ tensor::PackedC recompute_transform(const Problem& p, SeqStats* stats) {
   }
   mem.release(n * np + np + 2 * n);
 
-  local.integral_evals = p.engine.evaluations();
+  local.integral_evals = p.engine.evaluations() - evals0;
   local.peak_words = mem.peak();
   local.wall_seconds = timer.seconds();
   if (stats) *stats = local;
@@ -370,6 +362,7 @@ tensor::PackedC fused1234_transform(const Problem& p, SeqStats* stats) {
   WallTimer timer;
   MemMeter mem;
   SeqStats local;
+  const std::uint64_t evals0 = p.engine.evaluations();
 
   const auto sizes = p.sizes();
   mem.alloc(sizes.c);
@@ -391,11 +384,9 @@ tensor::PackedC fused1234_transform(const Problem& p, SeqStats* stats) {
     // produced twice, the acknowledged ~1.5x compute overhead of the
     // fully fused schedule (paper Sec. 7.4).
     for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j <= i; ++j) {
-        double* row = al.row(pack_pair(i, j));
-        for (std::size_t k = 0; k < n; ++k)
-          row[k] = p.engine.value(i, j, k, l);
-      }
+      for (std::size_t j = 0; j <= i; ++j)
+        p.engine.fill_block({i, j, 0, l}, {1, 1, n, 1},
+                            al.row(pack_pair(i, j)));
 
     // c1: O1_l[a, j, k] = sum_i A_l[(ij), k] B[a, i]
     for (std::size_t k = 0; k < n; ++k) {
@@ -440,7 +431,7 @@ tensor::PackedC fused1234_transform(const Problem& p, SeqStats* stats) {
   }
   mem.release(np * n + n * n * n + np * n + np * n);
 
-  local.integral_evals = p.engine.evaluations();
+  local.integral_evals = p.engine.evaluations() - evals0;
   local.peak_words = mem.peak();
   local.wall_seconds = timer.seconds();
   if (stats) *stats = local;

@@ -22,7 +22,8 @@ namespace fit::core {
 struct SeqStats {
   /// Floating-point operations (2 per multiply-add).
   double flops = 0;
-  /// ComputeA calls (on-the-fly integral evaluations).
+  /// On-the-fly integral evaluations (ComputeA) made by this run alone,
+  /// not by earlier runs on the same problem.
   std::uint64_t integral_evals = 0;
   /// Max simultaneously live tensor words.
   std::size_t peak_words = 0;

@@ -41,6 +41,9 @@ class Irreps {
     return labels_[orbital];
   }
 
+  /// Every orbital's label, for loops that range-check once up front.
+  const std::vector<std::uint8_t>& labels() const { return labels_; }
+
   /// Irrep of an index pair (XOR product).
   std::uint8_t pair_irrep(std::size_t i, std::size_t j) const {
     return static_cast<std::uint8_t>(of(i) ^ of(j));

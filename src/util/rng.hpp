@@ -42,14 +42,30 @@ class SplitMix64 {
   std::uint64_t state_;
 };
 
+/// The seed hash_to_unit mixes its four keys into: an XOR of one
+/// product per key. XOR makes it exactly separable,
+///   hash_key(a, b, c, d) == hash_key(a, 0, c, d) ^ hash_key(0, b, 0, 0),
+/// so a caller that holds some keys fixed over a loop can fold their
+/// terms once and XOR in the varying one per iteration, bit for bit.
+inline std::uint64_t hash_key(std::uint64_t a, std::uint64_t b = 0x9E37,
+                              std::uint64_t c = 0x79B9,
+                              std::uint64_t d = 0x7F4A) {
+  return a * 0x9E3779B97F4A7C15ull ^ b * 0xC2B2AE3D27D4EB4Full ^
+         c * 0x165667B19E3779F9ull ^ d * 0x27D4EB2F165667C5ull;
+}
+
+/// Map a mixed seed (hash_key) to a double in [-1, 1).
+inline double unit_from_key(std::uint64_t key) {
+  SplitMix64 g(key);
+  return 2.0 * g.next_double() - 1.0;
+}
+
 /// Stateless hash of up to four 64-bit keys to a double in [-1, 1).
-/// Used by the on-the-fly integral generator: A(i,j,k,l) must be a pure
-/// function of its indices so that recomputation is consistent.
+/// Used by the on-the-fly integral generators: A(i,j,k,l) must be a
+/// pure function of its indices so that recomputation is consistent.
 inline double hash_to_unit(std::uint64_t a, std::uint64_t b = 0x9E37,
                            std::uint64_t c = 0x79B9, std::uint64_t d = 0x7F4A) {
-  SplitMix64 g(a * 0x9E3779B97F4A7C15ull ^ b * 0xC2B2AE3D27D4EB4Full ^
-               c * 0x165667B19E3779F9ull ^ d * 0x27D4EB2F165667C5ull);
-  return 2.0 * g.next_double() - 1.0;
+  return unit_from_key(hash_key(a, b, c, d));
 }
 
 }  // namespace fit

@@ -128,6 +128,15 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(8, 1u), std::make_tuple(10, 2u),
                       std::make_tuple(12, 4u)));
 
+TEST(AntisymTransform, IntegralEvalsCountOnlyTheirOwnRun) {
+  auto p = core::make_antisym_problem(8, 2, 5);
+  core::SeqStats first, second;
+  (void)core::antisym_fused1234_transform(p, &first);
+  (void)core::antisym_fused1234_transform(p, &second);
+  EXPECT_GT(first.integral_evals, 0u);
+  EXPECT_EQ(second.integral_evals, first.integral_evals);
+}
+
 TEST(AntisymTransform, FusedPeakMemoryIsCPlusLowerOrder) {
   auto p = core::make_antisym_problem(16, 1, 2);
   core::SeqStats stats;

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <tuple>
+#include <utility>
 
 #include "chem/molecule.hpp"
 #include "core/problem.hpp"
@@ -157,6 +158,42 @@ TEST(SeqSchedules, RecomputeRedundantIntegralEvaluations) {
   (void)core::unfused_transform(p1, &s1);
   (void)core::recompute_transform(p2, &s2);
   EXPECT_GT(s2.integral_evals, 10 * s1.integral_evals);
+}
+
+TEST(SeqSchedules, IntegralEvalsCountOnlyTheirOwnRun) {
+  // A schedule reports the evaluations of its own run, so one that
+  // follows another on the same problem reports what it reports on a
+  // fresh problem: the count its loop nest implies.
+  const auto mol = chem::custom_molecule("ev", 12, 2, 3);
+  const std::size_t n = 12, np = tensor::npairs(n);
+  auto shared = core::make_problem(mol);
+  core::SeqStats first;
+  (void)core::unfused_transform(shared, &first);
+  EXPECT_EQ(first.integral_evals, np * np);
+
+  using Run = tensor::PackedC (*)(const core::Problem&, core::SeqStats*);
+  const std::pair<Run, std::size_t> runs[] = {
+      {[](const core::Problem& p, core::SeqStats* s) {
+         return core::fused1234_transform(p, s);
+       },
+       n * np * n},
+      {[](const core::Problem& p, core::SeqStats* s) {
+         return core::fused12_34_transform(p, s, /*materialize_a=*/false);
+       },
+       np * np},
+      {[](const core::Problem& p, core::SeqStats* s) {
+         return core::recompute_transform(p, s);
+       },
+       np * n * np * n},
+  };
+  for (const auto& [run, evals] : runs) {
+    auto fresh = core::make_problem(mol);
+    core::SeqStats after, alone;
+    (void)run(shared, &after);
+    (void)run(fresh, &alone);
+    EXPECT_EQ(alone.integral_evals, evals);
+    EXPECT_EQ(after.integral_evals, evals);
+  }
 }
 
 TEST(SeqSchedules, StatsArePopulated) {
