@@ -30,7 +30,6 @@
 // runs fewer reps.
 #include <algorithm>
 #include <cstdlib>
-#include <ctime>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -45,6 +44,7 @@
 #include "runtime/machine.hpp"
 #include "tensor/tiling.hpp"
 #include "util/format.hpp"
+#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -52,23 +52,11 @@ namespace {
 
 using namespace fit;
 
-double cpu_seconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
-}
-
 struct Sample {
   double flops = 0;       // the schedule's own flop count
   double gemm_calls = 0;  // engine calls per transform
   std::vector<double> cpu_s;
 };
-
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t h = v.size() / 2;
-  return v.size() % 2 ? v[h] : 0.5 * (v[h - 1] + v[h]);
-}
 
 struct FillTiming {
   double one_lane_s = 0, two_lane_s = 0;  // medians of one window each
@@ -176,7 +164,7 @@ int main() {
       o.schedule = entries[e].schedule;
       o.par.tile = 8;
       const double calls0 = gm.sum("gemm.calls");
-      const double t0 = cpu_seconds();
+      const double t0 = process_cpu_seconds();
       core::TransformOutcome r;
       if (o.schedule == core::Schedule::Unfused) {
         r = core::four_index_transform(p, o);
@@ -186,7 +174,7 @@ int main() {
         host_threads = cl.host_threads();
         r = core::four_index_transform(p, o, &cl);
       }
-      const double secs = cpu_seconds() - t0;
+      const double secs = process_cpu_seconds() - t0;
       if (rep == 0) continue;
       Sample& s = samples[e];
       s.flops = r.distributed ? r.par.flops : r.seq.flops;

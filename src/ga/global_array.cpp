@@ -298,7 +298,7 @@ double GlobalArray::peek(std::span<const std::size_t> element) const {
 }
 
 void GlobalArray::restore_tile(std::size_t idx,
-                               const std::vector<double>& data,
+                               std::span<const double> data,
                                std::uint64_t epoch) {
   FIT_REQUIRE(idx < tiles_.size(), name_ << ": restore of bad tile index");
   Tile& t = tiles_[idx];

@@ -191,7 +191,7 @@ class GlobalArray {
   }
   /// Overwrite tile `idx` with checkpointed content (`data` empty =
   /// zeros in Real mode) and rewind its write epoch to `epoch`.
-  void restore_tile(std::size_t idx, const std::vector<double>& data,
+  void restore_tile(std::size_t idx, std::span<const double> data,
                     std::uint64_t epoch);
   /// Move every tile owned by the `dead` ranks to the `targets` ranks,
   /// transferring the memory accounting. Placement is capacity-aware:

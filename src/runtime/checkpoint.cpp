@@ -14,10 +14,17 @@ namespace fit::runtime {
 
 namespace {
 
-// XOR mask applied to a rotted copy's stored checksum: recomputation
-// at read time then disagrees, which is indistinguishable (to the
-// verifier) from flipped payload bits.
+// XOR mask applied to a rotted copy's stored checksum: re-sealing the
+// copy's digest at read time then disagrees, which is how the verifier
+// sees rot.
 constexpr std::uint64_t kRotMask = 0xBADC0FFEE0DDF00Dull;
+
+// A copy's payload; empty for zeros / Simulate mode.
+std::span<const double> payload_of(
+    const std::shared_ptr<const std::vector<double>>& data) {
+  if (!data) return {};
+  return *data;
+}
 
 }  // namespace
 
@@ -38,27 +45,27 @@ CheckpointManager::CheckpointManager(Cluster& cluster, CheckpointConfig cfg)
         "checkpoint.restored_bytes", "checkpoint.gc_bytes",
         "checkpoint.verify_failures", "checkpoint.zero_fills",
         "checkpoint.scrub_repairs", "checkpoint.io_faults",
-        "checkpoint.io_retries", "recovery.fallback_epochs",
-        "fault.ckpt_corrupts"})
+        "checkpoint.io_retries", "checkpoint.hashed_bytes",
+        "recovery.fallback_epochs", "fault.ckpt_corrupts"})
     reg.counter(name);
   reg.gauge("checkpoint.store_bytes");
   reg.gauge("checkpoint.generations");
   reg.gauge("checkpoint.dirty_fraction");
 }
 
-std::uint64_t CheckpointManager::tile_checksum(
-    const std::vector<double>& data, std::uint64_t write_epoch,
-    std::size_t idx) {
-  // Cover the payload bytes and the manifest metadata; in Simulate
+std::uint64_t CheckpointManager::seal(std::uint64_t digest,
+                                      std::uint64_t write_epoch,
+                                      std::size_t idx) {
+  // Cover the payload digest and the manifest metadata; in Simulate
   // mode (no payload) the metadata alone still detects rot, since the
   // injector flips the stored checksum rather than the bytes.
-  std::uint64_t h = util::fnv1a_bytes(data.data(), 8 * data.size());
-  h = util::fnv1a_u64(write_epoch, h);
-  return util::fnv1a_u64(idx, h);
+  return util::fnv1a_u64(idx, util::fnv1a_u64(write_epoch, digest));
 }
 
 bool CheckpointManager::verify(const TileSnap& snap, std::size_t idx) {
-  return tile_checksum(snap.data, snap.write_epoch, idx) == snap.checksum;
+  // O(1): the payload is immutable and its digest was taken when it was
+  // written, so only the seal over (digest, epoch, index) is redone.
+  return seal(snap.digest, snap.write_epoch, idx) == snap.checksum;
 }
 
 void CheckpointManager::update_store_gauge() {
@@ -134,6 +141,9 @@ double CheckpointManager::write_once(std::size_t io_attempt) {
   double client_bytes = 0;
   double scrub_repairs = 0;
   double live_tiles = 0, dirty_tiles = 0;
+  // Fresh copies of this generation, sealed once the write can no
+  // longer tear.
+  std::vector<std::pair<TileSnap*, std::size_t>> fresh;
   for (ga::GlobalArray* arr : cl_.registered_arrays()) {
     ArraySnap& as = g.arrays[arr];
     as.tiles.resize(arr->n_tiles());
@@ -163,16 +173,18 @@ double CheckpointManager::write_once(std::size_t io_attempt) {
       // is always internally intact at publication time.
       const bool repair = !dirty && !verify(*src, idx);
       if (dirty || repair) {
-        ts.data = arr->tile_data(idx);  // empty in Simulate mode
+        const std::vector<double>& live = arr->tile_data(idx);
+        if (!live.empty())  // empty in Simulate mode
+          ts.data = std::make_shared<const std::vector<double>>(live);
         ts.write_epoch = ep;
-        ts.checksum = tile_checksum(ts.data, ep, idx);
         ts.fresh = true;
+        fresh.emplace_back(&ts, idx);
         bytes_per_rank[arr->tile_by_index(idx).owner] += bytes;
         client_bytes += bytes;
         dirty_tiles += 1;
         if (repair) scrub_repairs += 1;
       } else {
-        ts = *src;
+        ts = *src;  // shares the source's immutable payload
         ts.fresh = false;
       }
       as.bytes += bytes;
@@ -185,9 +197,20 @@ double CheckpointManager::write_once(std::size_t io_attempt) {
   // the previous generation stays fully visible.
   ckpt_io_fault_point("write", io_attempt);
 
+  // Digest each fresh payload once; carried copies keep their source's
+  // digest, so host hashing follows the dirty set.
+  double hashed_bytes = 0;
+  for (auto [ts, idx] : fresh) {
+    const std::span<const double> bytes = payload_of(ts->data);
+    ts->digest = util::digest_words(bytes.data(), bytes.size_bytes());
+    ts->checksum = seal(ts->digest, ts->write_epoch, idx);
+    hashed_bytes += static_cast<double>(bytes.size_bytes());
+  }
+
   auto& reg = cl_.metrics();
   reg.add(reg.counter("checkpoint.writes"), 0, 1);
   reg.add(reg.counter("checkpoint.bytes"), 0, client_bytes);
+  reg.add(reg.counter("checkpoint.hashed_bytes"), 0, hashed_bytes);
   // Fraction of live tiles that transited the client link in this
   // generation: ~1.0 under full-copy, the real dirty share under
   // delta — the saving the soak gate measures. A zero-tile epoch (a
@@ -247,7 +270,7 @@ double CheckpointManager::restore_tile(ga::GlobalArray* array,
     // stale content and must never be silently substituted.
     if (!snap || snap->write_epoch != want->write_epoch) break;
     if (verify(*snap, idx)) {
-      array->restore_tile(idx, snap->data, snap->write_epoch);
+      array->restore_tile(idx, payload_of(snap->data), snap->write_epoch);
       const double bytes = 8.0 * double(array->tile_by_index(idx).elements);
       bytes_per_rank[array->tile_by_index(idx).owner] += bytes;
       if (fallback > 0) {

@@ -20,23 +20,43 @@
 //   ...                       (up to FOURINDEX_CKPT_KEEP generations)
 //
 // Each published generation is a self-contained snapshot: every
-// ever-written tile has its own physical copy, stamped with the write
-// epoch it captures and an FNV-1a checksum taken at write time. Only
-// tiles dirtied since the previous checkpoint transit the client's
-// disk link (incremental I/O); unchanged tiles are carried into the
-// new generation by a checksum-verified server-side copy, at no
-// client cost — so generations are physically independent replicas
-// and one generation's bit rot never silently poisons the others. A
-// carried copy whose source fails its checksum is instead rewritten
-// fresh from the live array (a scrub repair, charged as real I/O).
+// ever-written tile has its own copy, stamped with the write epoch it
+// captures and a checksum sealed at write time. Only tiles dirtied
+// since the previous checkpoint transit the client's disk link
+// (incremental I/O); unchanged tiles are carried into the new
+// generation by a checksum-verified server-side copy, at no client
+// cost. A carried copy whose source fails its checksum is instead
+// rewritten fresh from the live array (a scrub repair, charged as
+// real I/O).
+//
+// Model vs. host representation. The model treats generations as
+// physically independent replicas: every copy is charged, counted and
+// GC'd per generation, and bit rot (FaultKind::CkptCorrupt) strikes
+// one generation's copy at a time — it flips that copy's stored
+// checksum, so one generation's rot never poisons another's. On the
+// host, a payload is immutable once written, so a carried copy shares
+// its source's bytes (a reference, not a vector copy). The payload's
+// word-wise digest (util::digest_words) is taken once, when the tile
+// is written fresh; the stored checksum seals that digest with the
+// write epoch and tile index. Verification — of a carried source and
+// of each copy a restore walks back through — re-seals the digest and
+// compares it with the stored checksum, in O(1) and without re-hashing
+// the payload. That catches exactly what the injected rot changes, so
+// rot detection is unchanged. Host hashing follows the dirty set: in
+// Real mode `checkpoint.hashed_bytes` equals `checkpoint.bytes` (in
+// Simulate mode there are no payloads to hash). A fault that flips
+// payload bytes instead would not be seen by the seal: if one is ever
+// added, it must give the rotted copy its own payload and force a
+// re-hash on verification.
 //
 // Publication is atomic: a generation is staged completely — payload
-// copies first — and only then published by appending its manifest.
-// A checkpoint-I/O fault mid-write (FaultKind::CkptIo, or the
-// probability knob) aborts before the manifest lands, so a torn write
-// leaves the previous generation fully intact, never a half-visible
-// epoch. Checkpoint writes and restores are wrapped in the same
-// bounded retry+backoff discipline run_phase uses for compute.
+// copies first, then the checksums of the fresh copies — and only then
+// published by appending its manifest. A checkpoint-I/O fault mid-write
+// (FaultKind::CkptIo, or the probability knob) aborts after the copies
+// and before the checksums and the manifest, so a torn write leaves the
+// previous generation fully intact, never a half-visible epoch, and
+// hashes nothing. Checkpoint writes and restores are wrapped in the
+// same bounded retry+backoff discipline run_phase uses for compute.
 //
 // Restore verifies every tile copy against its checksum and walks
 // back generation by generation to the newest intact copy of the
@@ -59,6 +79,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -153,9 +174,12 @@ class CheckpointManager {
 
  private:
   struct TileSnap {
-    std::vector<double> data;       // empty = zeros / Simulate mode
+    // Immutable payload, shared by every generation that carries this
+    // copy (null = zeros / Simulate mode).
+    std::shared_ptr<const std::vector<double>> data;
     std::uint64_t write_epoch = 0;  // 0 = never written (elided)
-    std::uint64_t checksum = 0;     // FNV-1a taken at write time
+    std::uint64_t digest = 0;    // digest_words of the payload, taken once
+    std::uint64_t checksum = 0;  // stored seal of (digest, epoch, index)
     bool fresh = false;   // client-written in this generation
     bool corrupt = false; // latent rot injected (checksum flipped)
   };
@@ -169,9 +193,8 @@ class CheckpointManager {
     std::unordered_map<ga::GlobalArray*, ArraySnap> arrays;
   };
 
-  static std::uint64_t tile_checksum(const std::vector<double>& data,
-                                     std::uint64_t write_epoch,
-                                     std::size_t idx);
+  static std::uint64_t seal(std::uint64_t digest, std::uint64_t write_epoch,
+                            std::size_t idx);
   static bool verify(const TileSnap& snap, std::size_t idx);
 
   double write_once(std::size_t io_attempt);

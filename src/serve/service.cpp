@@ -1,6 +1,7 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "chem/molecule.hpp"
@@ -208,14 +209,22 @@ Response TransformService::submit(const Request& r) {
 }
 
 Response TransformService::submit_line(const std::string& json_line) {
+  std::optional<Request> req;
   try {
-    return submit(parse_request(obs::json::parse(json_line)));
+    req = parse_request(obs::json::parse(json_line));
+    return submit(*req);
   } catch (const Error& e) {
-    // Malformed request or JSON: a taxonomy response, not a dead server.
+    // Malformed request or JSON, or a request that failed while being
+    // planned or run: a taxonomy response, not a dead server. A request
+    // that parsed gets its batch width and tenant echoed back.
     reg_->add(reg_->counter("serve.errors"), 0, 1);
     Response rsp;
     rsp.admission = Admission::Error;
     rsp.error = e.what();
+    if (req) {
+      rsp.batch = req->batch;
+      rsp.tenant = req->tenant;
+    }
     return rsp;
   }
 }

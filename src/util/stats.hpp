@@ -6,10 +6,19 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "util/error.hpp"
 
 namespace fit {
+
+/// Median of `v` (the mean of the middle two for an even count).
+inline double median(std::vector<double> v) {
+  FIT_REQUIRE(!v.empty(), "median of no samples");
+  std::sort(v.begin(), v.end());
+  const std::size_t h = v.size() / 2;
+  return v.size() % 2 ? v[h] : 0.5 * (v[h - 1] + v[h]);
+}
 
 /// Streaming min/max/mean/variance accumulator (Welford's algorithm).
 class RunningStats {

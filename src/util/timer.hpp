@@ -1,7 +1,8 @@
-// Wall-clock timing helpers.
+// Timing helpers: a wall-clock stopwatch and the process CPU clock.
 #pragma once
 
 #include <chrono>
+#include <ctime>
 
 namespace fit {
 
@@ -23,5 +24,15 @@ class WallTimer {
   using clock = std::chrono::steady_clock;
   clock::time_point start_;
 };
+
+/// CPU seconds used so far by all threads of this process
+/// (CLOCK_PROCESS_CPUTIME_ID). Unlike the wall clock it does not run
+/// while the host withholds the CPU, so benches time host work on it.
+inline double process_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
 
 }  // namespace fit

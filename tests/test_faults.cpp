@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 
 #include "bounds/transform_bounds.hpp"
@@ -781,6 +782,102 @@ TEST(CheckpointStore, NeverWrittenTilesRestoreAsZerosUnderSteal) {
   const auto& reg = faulty.metrics();
   EXPECT_EQ(reg.sum("checkpoint.zero_fills"), 0.0);
   EXPECT_GT(reg.sum("sched.claims"), 0.0);
+}
+
+TEST(CheckpointStore, RotOfASharedCarriedCopyWalksBackOneEpoch) {
+  // The idle phase's generation carries every tile of the one before,
+  // sharing its payload bytes. Rot strikes only the newest
+  // generation's copies; the older generation's copy of the same bytes
+  // must still verify, and the restore must return it bit for bit.
+  Cluster cl(fault_machine(2, 2), ExecutionMode::Real);
+  cl.enable_recovery();  // keeps 2 generations
+  std::vector<tensor::Tiling> dims = {tensor::Tiling(8, 2)};  // 4 tiles
+  ga::GlobalArray a(cl, "shared", dims);  // tile t lives on rank t
+  cl.run_phase("w0", [&](runtime::RankCtx& ctx) {
+    if (ctx.rank() != 0) return;
+    for (std::size_t t = 0; t < 4; ++t) {
+      std::vector<double> buf = {1.0 / 3.0 + double(t), -0.1 * double(t)};
+      a.put(ctx, std::vector<std::size_t>{t}, buf.data());
+    }
+  });
+  cl.run_phase("idle", [](runtime::RankCtx&) {});
+  ASSERT_EQ(cl.checkpoints()->n_generations(), 2u);
+
+  const std::size_t victim = 2;
+  const std::vector<double> want = a.tile_data(victim);
+  // Scribble over the live tile, so only the store can bring it back.
+  a.restore_tile(victim, std::vector<double>{-1.0, -1.0},
+                 a.tile_write_epoch(victim));
+  cl.checkpoints()->inject_corruption(/*phase=*/2,
+                                      static_cast<std::size_t>(-1),
+                                      /*depth=*/1);
+  cl.kill_rank(victim);
+  cl.checkpoints()->restore_rank(victim);
+
+  const auto& reg = cl.metrics();
+  EXPECT_EQ(reg.sum("fault.ckpt_corrupts"), 4.0);  // every carried copy
+  EXPECT_EQ(reg.sum("checkpoint.verify_failures"), 1.0);
+  EXPECT_EQ(reg.sum("recovery.fallback_epochs"), 1.0);
+  EXPECT_EQ(reg.sum("checkpoint.zero_fills"), 0.0);
+  const std::vector<double>& got = a.tile_data(victim);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                           want.size() * sizeof(double)));
+}
+
+TEST(CheckpointStore, HashedBytesEqualWrittenBytesAfterEveryWrite) {
+  // A payload is digested once, when it transits the client link:
+  // carried copies hash nothing, fresh copies, scrub repairs and
+  // full-copy rewrites hash what they write, and a torn (retried)
+  // write hashes nothing. So checkpoint.hashed_bytes equals
+  // checkpoint.bytes after every write, under both policies.
+  for (const int delta : {1, 0}) {
+    SCOPED_TRACE(delta ? "delta" : "full copy");
+    Cluster cl(fault_machine(2, 2), ExecutionMode::Real);
+    runtime::CheckpointConfig cfg;
+    cfg.delta = delta;
+    cl.enable_recovery(cfg);
+    std::vector<tensor::Tiling> dims = {tensor::Tiling(16, 2)};  // 8 tiles
+    ga::GlobalArray a(cl, "hashed", dims);
+    FaultInjector inj(47);
+    FaultEvent io;
+    io.kind = FaultKind::CkptIo;
+    io.phase = 2;
+    io.count = 1;
+    inj.schedule(io);
+    cl.install_faults(inj);
+
+    const auto& reg = cl.metrics();
+    constexpr std::size_t kWrites = 6;
+    for (std::size_t phase = 0; phase < kWrites; ++phase) {
+      // Rot every at-rest copy of the newest generation: the next
+      // delta write scrubs the carried ones from the live array.
+      if (phase == 4)
+        cl.checkpoints()->inject_corruption(phase,
+                                            static_cast<std::size_t>(-1),
+                                            /*depth=*/1);
+      // Phase 0 writes every tile, each later phase only tile `phase`.
+      cl.run_phase("w" + std::to_string(phase), [&](runtime::RankCtx& ctx) {
+        if (ctx.rank() != 0) return;
+        for (std::size_t t = 0; t < 8; ++t) {
+          if (phase > 0 && t != phase) continue;
+          std::vector<double> buf = {double(phase), double(t)};
+          a.put(ctx, std::vector<std::size_t>{t}, buf.data());
+        }
+      });
+      EXPECT_EQ(reg.sum("checkpoint.hashed_bytes"),
+                reg.sum("checkpoint.bytes"))
+          << "after write " << phase;
+    }
+    EXPECT_EQ(reg.sum("checkpoint.io_retries"), 1.0);
+    const double full_copy_bytes = kWrites * 8 * 16.0;
+    if (delta) {
+      EXPECT_GT(reg.sum("checkpoint.scrub_repairs"), 0.0);
+      EXPECT_LT(reg.sum("checkpoint.hashed_bytes"), full_copy_bytes);
+    } else {
+      EXPECT_EQ(reg.sum("checkpoint.hashed_bytes"), full_copy_bytes);
+    }
+  }
 }
 
 // ---- seeded stress matrix (CI fault-matrix job) ---------------------

@@ -171,6 +171,26 @@ TEST(ParseRequest, MalformedLinesBecomeErrorResponsesNotExceptions) {
   EXPECT_EQ(svc.metrics().sum("serve.errors"), 2.0);
 }
 
+TEST(ParseRequest, FailureAfterParsingEchoesBatchAndTenant) {
+  // The line parses (the parser checks only that irrep_order is a
+  // positive number), then building the problem inside admission
+  // throws: the error reply must still carry the request's batch width
+  // and tenant, not a default Response's.
+  TransformService svc{CostOracle{}};
+  const Response rsp = svc.submit_line(
+      "{\"molecule\":\"custom\",\"n\":8,\"irrep_order\":3,"
+      "\"batch\":2,\"tenant\":\"beta\"}");
+  EXPECT_EQ(rsp.admission, Admission::Error);
+  EXPECT_NE(rsp.error.find("power of two"), std::string::npos) << rsp.error;
+  EXPECT_EQ(rsp.batch, 2u);
+  EXPECT_EQ(rsp.tenant, "beta");
+  const obs::json::Value doc = rsp.to_json();
+  EXPECT_EQ(doc.find("batch")->as_number(), 2.0);
+  EXPECT_EQ(doc.find("tenant")->as_string(), "beta");
+  EXPECT_EQ(svc.metrics().sum("serve.errors"), 1.0);
+  EXPECT_EQ(svc.reserved_bytes(), 0.0);
+}
+
 // ------------------------------------------------------ admission ladder
 
 TEST(Admission, WalksAdmittedThroughDegradedToQueuedAndRejected) {

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <cstring>
+#include <set>
 #include <stdexcept>
 #include <vector>
 
 #include "util/error.hpp"
 #include "util/format.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
@@ -101,6 +105,91 @@ TEST(Rng, HashToUnitIsPure) {
   const double v = fit::hash_to_unit(12, 34, 56);
   EXPECT_GE(v, -1.0);
   EXPECT_LT(v, 1.0);
+}
+
+// ---- payload digest ----------------------------------------------------
+
+// One 8x8x8x4 tile of doubles with every bit position in use, the
+// shape of a checkpointed A/C tile.
+std::vector<double> tile_payload() {
+  std::vector<double> v(8 * 8 * 8 * 4);
+  fit::SplitMix64 g(77);
+  for (double& x : v) x = g.next_double(-1.0, 1.0);
+  return v;
+}
+
+// Flips every bit of buf[0, len) in turn; returns how many flips left
+// the digest unchanged.
+std::size_t flips_missed(unsigned char* buf, std::size_t len) {
+  const std::uint64_t base = fit::util::digest_words(buf, len);
+  std::size_t missed = 0;
+  for (std::size_t i = 0; i < len; ++i)
+    for (int b = 0; b < 8; ++b) {
+      buf[i] ^= static_cast<unsigned char>(1u << b);
+      missed += fit::util::digest_words(buf, len) == base;
+      buf[i] ^= static_cast<unsigned char>(1u << b);
+    }
+  return missed;
+}
+
+TEST(Digest, EverySingleBitFlipOfATilePayloadChangesIt) {
+  auto v = tile_payload();
+  auto* bytes = reinterpret_cast<unsigned char*>(v.data());
+  const std::size_t len = v.size() * sizeof(double);
+  const std::uint64_t base = fit::util::digest_words(bytes, len);
+  EXPECT_EQ(flips_missed(bytes, len), 0u);
+  EXPECT_EQ(fit::util::digest_words(bytes, len), base);  // flips undone
+}
+
+TEST(Digest, ShortAndRaggedLengthsWork) {
+  std::vector<unsigned char> buf(96);
+  fit::SplitMix64 g(5);
+  for (auto& c : buf) c = static_cast<unsigned char>(g.next_u64());
+  // Below one 32-byte stripe (0, 8, 24), exactly one (32), one plus a
+  // word (40), and two stripes plus a partial word (77).
+  const std::size_t lengths[] = {0, 8, 24, 32, 40, 77};
+  std::set<std::uint64_t> seen;
+  for (const std::size_t len : lengths) {
+    const std::uint64_t d = fit::util::digest_words(buf.data(), len);
+    EXPECT_TRUE(seen.insert(d).second) << "prefix of " << len << " bytes";
+    // The same bytes at an odd address give the same digest.
+    std::vector<unsigned char> shifted(len + 1);
+    std::memcpy(shifted.data() + 1, buf.data(), len);
+    EXPECT_EQ(fit::util::digest_words(shifted.data() + 1, len), d) << len;
+    // A byte past the end does not matter; every bit inside does.
+    buf[len] ^= 0xFF;
+    EXPECT_EQ(fit::util::digest_words(buf.data(), len), d) << len;
+    buf[len] ^= 0xFF;
+    EXPECT_EQ(flips_missed(buf.data(), len), 0u) << len;
+  }
+  // An empty payload may come without a buffer.
+  EXPECT_EQ(fit::util::digest_words(nullptr, 0),
+            fit::util::digest_words(buf.data(), 0));
+  // The length is part of the digest: zero runs of different lengths
+  // differ.
+  const unsigned char zeros[16] = {};
+  EXPECT_NE(fit::util::digest_words(zeros, 0),
+            fit::util::digest_words(zeros, 8));
+  EXPECT_NE(fit::util::digest_words(zeros, 8),
+            fit::util::digest_words(zeros, 16));
+}
+
+TEST(Digest, EqualPayloadsGiveEqualDigests) {
+  const auto a = tile_payload();
+  const std::vector<double> b(a);  // a separate buffer, same bytes
+  EXPECT_EQ(fit::util::digest_words(a.data(), 8 * a.size()),
+            fit::util::digest_words(b.data(), 8 * b.size()));
+  // Bits, not values: +0.0 and -0.0 compare equal but digest apart.
+  const double pos = 0.0, neg = -0.0;
+  EXPECT_NE(fit::util::digest_words(&pos, 8),
+            fit::util::digest_words(&neg, 8));
+}
+
+TEST(Stats, MedianOfOddAndEvenCounts) {
+  EXPECT_DOUBLE_EQ(fit::median({3.0, 1.0, 2.0}), 2.0);
+  EXPECT_DOUBLE_EQ(fit::median({4.0, 1.0, 3.0, 2.0}), 2.5);
+  EXPECT_DOUBLE_EQ(fit::median({7.0}), 7.0);
+  EXPECT_THROW(fit::median({}), fit::PreconditionError);
 }
 
 TEST(Stats, BasicMoments) {
