@@ -6,8 +6,8 @@
 /// and a portable build silently ran the narrow kernel on wide hosts.
 /// This header replaces that with an rtcd-style (libvpx) table of
 /// per-function pointers: every kernel the engine calls through —
-/// micro-kernel, tile update, packing routines, level-1/level-2
-/// helpers — exists once per ISA level in its own translation unit
+/// micro-kernel, tile update, packing routines, level-1 helpers —
+/// exists once per ISA level in its own translation unit
 /// (compiled with that level's `-m` flags), and a `KernelTable` per
 /// level is resolved at startup from a cpuid probe, optionally narrowed
 /// by the `FOURINDEX_CPU` environment override.
@@ -123,23 +123,8 @@ using PackBFn = void (*)(const StridedOperand& b, std::size_t row0,
 using AxpyFn = void (*)(std::size_t n, double alpha, const double* x,
                         double* y);
 
-/// Contiguous level-1 dot product (fixed left-to-right accumulation
-/// order at every level — the reduction is never re-associated).
-using DotFn = double (*)(std::size_t n, const double* x, const double* y);
-
 /// Contiguous level-1 scale: x[i] *= alpha.
 using ScalFn = void (*)(std::size_t n, double alpha, double* x);
-
-/// Level-2 gemv, y[m] += alpha * A[m x n] * x[n] (A row-major).
-using GemvNFn = void (*)(std::size_t m, std::size_t n, double alpha,
-                         const double* a, std::size_t lda, const double* x,
-                         double* y);
-
-/// Level-2 transposed gemv, y[n] += alpha * A^T * x[m] (A row-major
-/// m x n).
-using GemvTFn = void (*)(std::size_t m, std::size_t n, double alpha,
-                         const double* a, std::size_t lda, const double* x,
-                         double* y);
 
 /// One ISA level's complete kernel set. Each entry is resolved from
 /// the translation unit compiled for that level; all entries are
@@ -152,10 +137,7 @@ struct KernelTable {
   PackAFn pack_a;            ///< A-side packing routine
   PackBFn pack_b;            ///< B-side packing routine
   AxpyFn axpy;               ///< level-1 y += alpha*x
-  DotFn dot;                 ///< level-1 dot product
   ScalFn scal;               ///< level-1 x *= alpha
-  GemvNFn gemv_n;            ///< level-2 y += alpha*A*x
-  GemvTFn gemv_t;            ///< level-2 y += alpha*A^T*x
 };
 
 /// The kernel table for a forced level. Never executes kernel code

@@ -1,6 +1,7 @@
 #include "core/schedules_par.hpp"
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -35,6 +36,36 @@ using tensor::Tiling;
 
 namespace {
 
+using Sums = std::map<std::string, double, std::less<>>;
+
+/// The ParStats fields that are one cluster counter's growth over the
+/// run. The registry is the source of truth; finish() diffs it.
+constexpr std::pair<double ParStats::*, const char*> kRunCounters[] = {
+    {&ParStats::flops, "compute.flops"},
+    {&ParStats::integral_evals, "compute.integral_evals"},
+    {&ParStats::remote_bytes, "comm.remote_bytes"},
+    {&ParStats::local_bytes, "comm.local_bytes"},
+    {&ParStats::overlapped_seconds, "comm.overlapped_seconds"},
+    {&ParStats::exposed_seconds, "comm.exposed_seconds"},
+    {&ParStats::sched_claims, "sched.claims"},
+    {&ParStats::sched_steals, "sched.steals"},
+    {&ParStats::sched_counter_wait_s, "sched.counter_wait_s"},
+    {&ParStats::sched_counter_fetches, "sched.counter_fetches"},
+    {&ParStats::sched_tree_hops, "sched.tree_hops"},
+    {&ParStats::recovery_fallback_epochs, "recovery.fallback_epochs"},
+    {&ParStats::ckpt_verify_failures, "checkpoint.verify_failures"},
+    {&ParStats::fault_domain_kills, "fault.domain_kills"},
+};
+
+/// after[name] - before[name]; a name missing from a snapshot reads 0.
+double grown(const Sums& before, const Sums& after, std::string_view name) {
+  auto at = [name](const Sums& s) {
+    const auto it = s.find(name);
+    return it == s.end() ? 0.0 : it->second;
+  };
+  return at(after) - at(before);
+}
+
 /// Shared state for one parallel transform run.
 struct Par {
   const Problem& p;
@@ -49,41 +80,29 @@ struct Par {
   std::vector<std::uint32_t> irrep_mask;
   std::vector<std::vector<std::uint32_t>> pair_mask;
 
-  // Kernel-engine counter levels at construction; finish() records the
-  // deltas so each cluster's registry shows the real gemm work (and
-  // packing traffic) its transforms triggered, next to the modeled
-  // compute.flops charges.
-  double gemm_calls0 = 0, gemm_flops0 = 0, gemm_pack0 = 0;
-
   // Dynamic-scheduler metrics (see run_claimed_phase): how many tasks
   // were claimed through the counter/steal paths, the counter waits
   // (count + seconds), steals, orphan adoptions after a mid-phase
-  // rank death, and counter re-homings. Baselines at construction so
-  // finish() can report this run's deltas in ParStats.
+  // rank death, and counter re-homings.
   obs::MetricsRegistry::Id id_sched_claims, id_sched_steals,
       id_sched_counter_waits, id_sched_counter_wait_s, id_sched_orphans,
       id_sched_reowns, id_sched_worst, id_sched_fetches, id_sched_hops,
       id_sched_occupancy;
-  double sched_claims0 = 0, sched_steals0 = 0, sched_wait0 = 0,
-         sched_fetches0 = 0, sched_hops0 = 0;
-  // Fault/recovery activity baselines, same delta pattern: finish()
-  // reports how much checkpoint fallback and domain killing this run
-  // itself absorbed.
-  double fallback0 = 0, verify_fail0 = 0, domain_kills0 = 0;
-  std::size_t phases0 = 0;  // cl.phases() size before this run
+
+  // Where this run starts: finish() reports the run as the difference
+  // from here of the host timer, the modeled clock, the phase list and
+  // the counter sums of the cluster registry and the kernel engine.
+  WallTimer timer;
+  double sim0;
+  std::size_t phases0;
+  Sums reg0, gemm0;
 
   Par(const Problem& problem, Cluster& cluster, const ParOptions& options)
       : p(problem), cl(cluster), opt(options),
         t(Tiling::irrep_aligned(problem.irreps,
                                 std::min(options.tile, problem.n()))),
-        nt(t.ntiles()) {
-    auto& gm = blas::gemm_metrics();
-    gm.counter("gemm.calls");  // get-or-create so sum() is always valid
-    gm.counter("gemm.flops");
-    gm.counter("gemm.pack_bytes");
-    gemm_calls0 = gm.sum("gemm.calls");
-    gemm_flops0 = gm.sum("gemm.flops");
-    gemm_pack0 = gm.sum("gemm.pack_bytes");
+        nt(t.ntiles()), sim0(cluster.sim_time()),
+        phases0(cluster.phases().size()) {
     auto& reg = cl.metrics();
     id_sched_claims = reg.counter("sched.claims");
     id_sched_steals = reg.counter("sched.steals");
@@ -95,24 +114,14 @@ struct Par {
     id_sched_fetches = reg.counter("sched.counter_fetches");
     id_sched_hops = reg.counter("sched.tree_hops");
     id_sched_occupancy = reg.gauge("sched.counter_batch_occupancy");
-    sched_claims0 = reg.sum("sched.claims");
-    sched_steals0 = reg.sum("sched.steals");
-    sched_wait0 = reg.sum("sched.counter_wait_s");
-    sched_fetches0 = reg.sum("sched.counter_fetches");
-    sched_hops0 = reg.sum("sched.tree_hops");
     // Session-level overrides: the strategy itself and the batched /
     // tree dequeue granularity (0 keeps the claims-per-rank rule).
     opt.balance = ga::balance_from_env(opt.balance);
     opt.counter_batch =
         util::env_size_strict("FOURINDEX_COUNTER_BATCH", opt.counter_batch,
                               /*min=*/0);
-    reg.counter("recovery.fallback_epochs");  // get-or-create
-    reg.counter("checkpoint.verify_failures");
-    reg.counter("fault.domain_kills");
-    fallback0 = reg.sum("recovery.fallback_epochs");
-    verify_fail0 = reg.sum("checkpoint.verify_failures");
-    domain_kills0 = reg.sum("fault.domain_kills");
-    phases0 = cl.phases().size();
+    // Every run's registry lists what ParStats reports, even at zero.
+    for (const auto& rc : kRunCounters) reg.counter(rc.second);
     irrep_mask.assign(nt, 0);
     for (std::size_t ti = 0; ti < nt; ++ti)
       for (std::size_t o = t.lo(ti); o < t.hi(ti); ++o)
@@ -124,6 +133,8 @@ struct Par {
           for (unsigned h2 = 0; h2 < p.irreps.order(); ++h2)
             if ((irrep_mask[ti] >> h1 & 1) && (irrep_mask[tj] >> h2 & 1))
               pair_mask[ti][tj] |= 1u << (h1 ^ h2);
+    reg0 = reg.sums();
+    gemm0 = blas::gemm_metrics().sums();
   }
 
   bool tile_allowed(std::size_t ta, std::size_t tb, std::size_t tc,
@@ -138,8 +149,8 @@ struct Par {
     };
   }
 
-  // Active transformation matrix: the problem's own B, unless a
-  // batched run has pointed the contraction phases at one member's
+  // Active transformation matrix: the problem's own B, unless a batch
+  // chain has pointed the contraction phases at one member's
   // coefficient set (the only thing distinguishing shared-basis batch
   // members from each other).
   const tensor::Matrix* b_active = nullptr;
@@ -217,31 +228,25 @@ void run_claimed_phase(
   }
   ga::TaskCounter counter(par.cl, label);
   ga::TaskPlan plan;
+  BalanceCache* memo = par.opt.balance_cache;
+  if (mode == ga::Balance::Auto && memo && memo->picks.contains(label)) {
+    // A previous identical run already chose for this phase: replay
+    // its mode and skip the six-candidate DES — the whole point of
+    // the serve schedule cache.
+    mode = memo->picks.at(label);
+    memo->hits += 1;
+  }
   if (mode == ga::Balance::Auto) {
-    BalanceCache* memo = par.opt.balance_cache;
-    const auto cached = memo ? memo->picks.find(label)
-                             : std::unordered_map<std::string,
-                                                  ga::Balance>::iterator{};
-    if (memo && cached != memo->picks.end()) {
-      // A previous identical run already chose for this phase: replay
-      // its mode and skip the six-candidate DES — the whole point of
-      // the serve schedule cache.
-      mode = cached->second;
-      plan = ga::plan_tasks(par.cl, mode, counter, cost, owner,
-                            par.opt.counter_batch);
-      memo->hits += 1;
-    } else {
-      // Planner-chosen mode: evaluate every fixed mode's claim DES on
-      // this phase's cost estimates and replay the cheapest.
-      BalancePick pick = choose_balance(par.cl, counter, cost, owner,
-                                        par.opt.counter_batch);
-      mode = pick.balance;
-      plan = std::move(pick.plan);
-      if (memo) memo->picks[label] = mode;
-      FIT_LOG_DEBUG(label << ": auto balance picked "
-                          << ga::to_string(mode) << " (makespan "
-                          << plan.makespan_s << " s)");
-    }
+    // Planner-chosen mode: evaluate every fixed mode's claim DES on
+    // this phase's cost estimates and replay the cheapest.
+    BalancePick pick = choose_balance(par.cl, counter, cost, owner,
+                                      par.opt.counter_batch);
+    mode = pick.balance;
+    plan = std::move(pick.plan);
+    if (memo) memo->picks[label] = mode;
+    FIT_LOG_DEBUG(label << ": auto balance picked "
+                        << ga::to_string(mode) << " (makespan "
+                        << plan.makespan_s << " s)");
   } else {
     plan = ga::plan_tasks(par.cl, mode, counter, cost, owner,
                           par.opt.counter_batch);
@@ -300,12 +305,94 @@ void run_claimed_phase(
                 static_cast<double>(plan.n_fetches));
 }
 
+/// Tile filter of an array whose dims (0,1) and (2,3) are both
+/// triangular-stored symmetric pairs.
+ga::TileFilter both_pairs() {
+  return ga::filter_and(ga::filter_triangular(0, 1),
+                        ga::filter_triangular(2, 3));
+}
+
 /// Task list for a tile-parallel phase: every existing tile of `out`,
 /// statically owned by the tile's owner — identical, in Static mode,
 /// to iterating out.tiles_of(rank).
 std::function<std::size_t(std::size_t)> tile_owner_of(
     const GlobalArray& out) {
   return [&out](std::size_t idx) { return out.tile_by_index(idx).owner; };
+}
+
+/// Cost estimate of the contraction task that writes tile `idx` of
+/// `out`: the gemm flops and the fetched operand bytes of contracting
+/// `extent` indices into the tile's dim `d`, plus one latency for each
+/// of the task's `fetches` tile fetches.
+std::function<double(std::size_t)> contract_cost(const Par& par,
+                                                 const GlobalArray& out,
+                                                 std::size_t d,
+                                                 std::size_t extent,
+                                                 std::size_t fetches) {
+  const auto& m = par.cl.machine();
+  return [&m, &out, d, ext = static_cast<double>(extent),
+          fetches](std::size_t idx) {
+    const auto& ti = out.tile_by_index(idx);
+    const double el = static_cast<double>(ti.elements);
+    return 2.0 * el * ext / m.flops_per_rank +
+           (8.0 * el / double(ti.len[d]) * ext) / m.net_bandwidth_bps +
+           double(fetches) * m.net_latency_s;
+  };
+}
+
+/// Landing slots of a pipelined_fetch: two slots of `slot` words under
+/// ParOptions::overlap, one without, charged to the rank as `what`.
+class FetchSlots {
+ public:
+  FetchSlots(const Par& par, RankCtx& ctx, std::size_t slot,
+             const char* what)
+      : buf_(ctx, (par.opt.overlap ? 2 : 1) * slot, what), slot_(slot) {}
+  /// Slot `s`'s storage (nullptr in Simulate mode).
+  double* at(std::size_t s) {
+    return buf_.data() ? buf_.data() + s * slot_ : nullptr;
+  }
+
+ private:
+  RankBuffer buf_;
+  std::size_t slot_;
+};
+
+/// pipelined_fetch of the tiles coord_of(0..n-1) of `arr` into
+/// FetchSlots of `slot` words charged as `what`: `use(i, data)` runs
+/// once tile i has landed (data is nullptr in Simulate mode).
+template <class CoordOf, class Use>
+void fetch_tiles(const Par& par, RankCtx& ctx, const GlobalArray& arr,
+                 std::size_t n, std::size_t slot, const char* what,
+                 CoordOf&& coord_of, Use&& use) {
+  FetchSlots slots(par, ctx, slot, what);
+  GlobalArray::NbHandle fh[2];
+  pipelined_fetch(
+      n, par.opt.overlap,
+      [&](std::size_t i, std::size_t s) {
+        fh[s] = arr.nbget(ctx, coord_of(i), slots.at(s));
+      },
+      [&](std::size_t, std::size_t s) { ctx.wait_transfer(fh[s]); },
+      [&](std::size_t i, std::size_t s) { use(i, slots.at(s)); });
+}
+
+/// Write one finished output tile: a put, or with `accumulate` an acc
+/// into what the tile holds. Nonblocking under ParOptions::overlap:
+/// the buffer is consumed at issue, so reusing it next iteration is
+/// safe, the wire time hides behind that iteration's compute, and the
+/// phase barrier waits for whatever is still in flight.
+void store(const Par& par, RankCtx& ctx, GlobalArray& out,
+           std::span<const std::size_t> coord, const double* data,
+           bool accumulate = false) {
+  if (!par.opt.overlap) {
+    if (accumulate)
+      out.acc(ctx, coord, data);
+    else
+      out.put(ctx, coord, data);
+  } else if (accumulate) {
+    out.nbacc(ctx, coord, data);
+  } else {
+    out.nbput(ctx, coord, data);
+  }
 }
 
 /// Fill phase for an A-style array: owners produce their tiles with
@@ -328,14 +415,8 @@ void fill_a(Par& par, GlobalArray& a, std::size_t l_base,
           par.p.engine.fill_block(
               {ti.lo[0], ti.lo[1], ti.lo[2], l_base + ti.lo[3]},
               {ti.len[0], ti.len[1], ti.len[2], ti.len[3]}, buf.data());
-        // Nonblocking: the put's wire time hides behind the next tile's
-        // integral evaluation (the buffer is consumed eagerly at issue,
-        // so reusing it next iteration is safe); the phase barrier
-        // waits for whatever is still in flight.
-        if (par.opt.overlap)
-          a.nbput(ctx, ti.coord, buf.data());
-        else
-          a.put(ctx, ti.coord, buf.data());
+        // The put hides behind the next tile's integral evaluation.
+        store(par, ctx, a, ti.coord, buf.data());
       });
 }
 
@@ -348,38 +429,26 @@ void contract1(Par& par, const GlobalArray& a, GlobalArray& o1,
   const std::size_t max_tile =
       par.t.max_width() * par.t.max_width() * a.tiling(2).max_width() *
       a.tiling(3).max_width();
-  const std::size_t nslots = par.opt.overlap ? 2 : 1;
-  const auto& m = par.cl.machine();
-  auto cost = [&](std::size_t idx) {
-    // nt gemms over the contracted i range plus nt sym-tile fetches.
-    const auto& ti = o1.tile_by_index(idx);
-    const double el = static_cast<double>(ti.elements);
-    const double n = static_cast<double>(par.n());
-    return 2.0 * el * n / m.flops_per_rank +
-           (8.0 * el / double(ti.len[0]) * n) / m.net_bandwidth_bps +
-           double(par.nt) * m.net_latency_s;
-  };
+  // nt gemms over the contracted i range plus nt sym-tile fetches.
   run_claimed_phase(
-      par, label, o1.n_tiles(), tile_owner_of(o1), cost,
+      par, label, o1.n_tiles(), tile_owner_of(o1),
+      contract_cost(par, o1, 0, par.n(), par.nt),
       [&](RankCtx& ctx, std::size_t idx) {
       const auto& ti = o1.tile_by_index(idx);
       const std::size_t lkl = ti.len[2] * ti.len[3];
       RankBuffer out(ctx, ti.elements, "O1 tile");
-      RankBuffer abuf(ctx, nslots * max_tile, "A fetch");
+      FetchSlots abuf(par, ctx, max_tile, "A fetch");
       // Landing slots for mirrored A tiles, which stay in their stored
       // layout; charged as the model's transpose scratch.
-      RankBuffer tbuf(ctx, nslots * max_tile, "A transpose");
-      auto at = [&](RankBuffer& b, std::size_t s) {
-        return ctx.real() ? b.data() + s * max_tile : nullptr;
-      };
+      FetchSlots tbuf(par, ctx, max_tile, "A transpose");
       const std::size_t ta = ti.coord[0], tj = ti.coord[1];
       SymFetch fetch[2];
       pipelined_fetch(
           par.nt, par.opt.overlap,
           [&](std::size_t tii, std::size_t s) {
             ga::TileCoord ac = {tii, tj, ti.coord[2], ti.coord[3]};
-            fetch[s] = nbget_sym_tile(a, ctx, ac, 0, 1, at(abuf, s),
-                                      at(tbuf, s));
+            fetch[s] =
+                nbget_sym_tile(a, ctx, ac, 0, 1, abuf.at(s), tbuf.at(s));
           },
           [&](std::size_t, std::size_t s) {
             finish_sym_tile(ctx, fetch[s]);
@@ -404,10 +473,7 @@ void contract1(Par& par, const GlobalArray& a, GlobalArray& o1,
                              out.data(), row, lkl, ti.len[1]);
             }
           });
-      if (par.opt.overlap)
-        o1.nbput(ctx, ti.coord, out.data());
-      else
-        o1.put(ctx, ti.coord, out.data());
+      store(par, ctx, o1, ti.coord, out.data());
       });
 }
 
@@ -417,36 +483,20 @@ void contract2(Par& par, const GlobalArray& o1, GlobalArray& o2,
   const std::size_t max_tile =
       par.t.max_width() * par.t.max_width() * o1.tiling(2).max_width() *
       o1.tiling(3).max_width();
-  const std::size_t nslots = par.opt.overlap ? 2 : 1;
-  const auto& m = par.cl.machine();
-  auto cost = [&](std::size_t idx) {
-    const auto& ti = o2.tile_by_index(idx);
-    const double el = static_cast<double>(ti.elements);
-    const double n = static_cast<double>(par.n());
-    return 2.0 * el * n / m.flops_per_rank +
-           (8.0 * el / double(ti.len[1]) * n) / m.net_bandwidth_bps +
-           double(par.nt) * m.net_latency_s;
-  };
   run_claimed_phase(
-      par, label, o2.n_tiles(), tile_owner_of(o2), cost,
+      par, label, o2.n_tiles(), tile_owner_of(o2),
+      contract_cost(par, o2, 1, par.n(), par.nt),
       [&](RankCtx& ctx, std::size_t idx) {
       const auto& ti = o2.tile_by_index(idx);
       const std::size_t lkl = ti.len[2] * ti.len[3];
       RankBuffer out(ctx, ti.elements, "O2 tile");
-      RankBuffer o1buf(ctx, nslots * max_tile, "O1 fetch");
-      auto at = [&](std::size_t s) {
-        return ctx.real() ? o1buf.data() + s * max_tile : nullptr;
-      };
       const std::size_t ta = ti.coord[0], tb = ti.coord[1];
-      GlobalArray::NbHandle fetch[2];
-      pipelined_fetch(
-          par.nt, par.opt.overlap,
-          [&](std::size_t tjj, std::size_t s) {
-            ga::TileCoord oc = {ta, tjj, ti.coord[2], ti.coord[3]};
-            fetch[s] = o1.nbget(ctx, oc, at(s));
+      fetch_tiles(
+          par, ctx, o1, par.nt, max_tile, "O1 fetch",
+          [&](std::size_t tjj) {
+            return ga::TileCoord{ta, tjj, ti.coord[2], ti.coord[3]};
           },
-          [&](std::size_t, std::size_t s) { ctx.wait_transfer(fetch[s]); },
-          [&](std::size_t tjj, std::size_t s) {
+          [&](std::size_t tjj, const double* o1t) {
             const std::size_t lenj = par.t.len(tjj);
             ctx.charge_flops(
                 gemm_flops(ti.len[1], lkl, lenj) * double(ti.len[0]));
@@ -455,13 +505,10 @@ void contract2(Par& par, const GlobalArray& o1, GlobalArray& o2,
             if (ctx.real())
               gemm_batched(Trans::No, Trans::No, ti.len[1], lkl, lenj, 1.0,
                            par.b() + par.t.lo(tb) * par.n() + par.t.lo(tjj),
-                           par.n(), 0, at(s), lkl, lenj * lkl, 1.0,
+                           par.n(), 0, o1t, lkl, lenj * lkl, 1.0,
                            out.data(), lkl, ti.len[1] * lkl, ti.len[0]);
           });
-      if (par.opt.overlap)
-        o2.nbput(ctx, ti.coord, out.data());
-      else
-        o2.put(ctx, ti.coord, out.data());
+      store(par, ctx, o2, ti.coord, out.data());
       });
 }
 
@@ -475,27 +522,15 @@ void contract3(Par& par, const GlobalArray& o2, GlobalArray& o3,
       par.t.max_width() * par.t.max_width() *
       std::max(o2.tiling(2).max_width(), o2.tiling(3).max_width()) *
       std::max(o2.tiling(2).max_width(), o2.tiling(3).max_width());
-  const std::size_t nslots = par.opt.overlap ? 2 : 1;
-  const auto& m = par.cl.machine();
-  auto cost = [&](std::size_t idx) {
-    const auto& ti = o3.tile_by_index(idx);
-    const double el = static_cast<double>(ti.elements);
-    const double nk = static_cast<double>(o2.tiling(2).extent());
-    return 2.0 * el * nk / m.flops_per_rank +
-           (8.0 * el / double(ti.len[2]) * nk) / m.net_bandwidth_bps +
-           double(par.nt) * m.net_latency_s;
-  };
   run_claimed_phase(
-      par, label, o3.n_tiles(), tile_owner_of(o3), cost,
+      par, label, o3.n_tiles(), tile_owner_of(o3),
+      contract_cost(par, o3, 2, o2.tiling(2).extent(), par.nt),
       [&](RankCtx& ctx, std::size_t idx) {
       const auto& ti = o3.tile_by_index(idx);
       RankBuffer out(ctx, ti.elements, "O3 tile");
-      RankBuffer o2buf(ctx, nslots * max_tile, "O2 fetch");
+      FetchSlots o2buf(par, ctx, max_tile, "O2 fetch");
       // Landing slots for mirrored O2 tiles (see contract1).
-      RankBuffer tbuf(ctx, nslots * max_tile, "O2 transpose");
-      auto at = [&](RankBuffer& b, std::size_t s) {
-        return ctx.real() ? b.data() + s * max_tile : nullptr;
-      };
+      FetchSlots tbuf(par, ctx, max_tile, "O2 transpose");
       const std::size_t tc = ti.coord[2];
       SymFetch fetch[2];
       pipelined_fetch(
@@ -504,11 +539,11 @@ void contract3(Par& par, const GlobalArray& o2, GlobalArray& o3,
             ga::TileCoord oc = {ti.coord[0], ti.coord[1], tkk,
                                 ti.coord[3]};
             if (kl_symmetric) {
-              fetch[s] = nbget_sym_tile(o2, ctx, oc, 2, 3, at(o2buf, s),
-                                        at(tbuf, s));
+              fetch[s] = nbget_sym_tile(o2, ctx, oc, 2, 3, o2buf.at(s),
+                                        tbuf.at(s));
             } else {
-              fetch[s] = SymFetch{o2.nbget(ctx, oc, at(o2buf, s)), false,
-                                  at(o2buf, s)};
+              fetch[s] = SymFetch{o2.nbget(ctx, oc, o2buf.at(s)), false,
+                                  o2buf.at(s)};
             }
           },
           [&](std::size_t, std::size_t s) {
@@ -531,10 +566,7 @@ void contract3(Par& par, const GlobalArray& o2, GlobalArray& o3,
                            ti.len[0] * ti.len[1]);
             }
           });
-      if (par.opt.overlap)
-        o3.nbput(ctx, ti.coord, out.data());
-      else
-        o3.put(ctx, ti.coord, out.data());
+      store(par, ctx, o3, ti.coord, out.data());
       });
 }
 
@@ -546,37 +578,20 @@ void contract4(Par& par, const GlobalArray& o3, GlobalArray& c,
                const std::string& label) {
   const std::size_t max_tile = par.t.max_width() * par.t.max_width() *
                                par.t.max_width() * o3.tiling(3).max_width();
-  const std::size_t nslots = par.opt.overlap ? 2 : 1;
-  const auto& m = par.cl.machine();
-  auto cost = [&](std::size_t idx) {
-    const auto& ti = c.tile_by_index(idx);
-    const double el = static_cast<double>(ti.elements);
-    const double nl = static_cast<double>(o3.tiling(3).extent());
-    return 2.0 * el * nl / m.flops_per_rank +
-           (8.0 * el / double(ti.len[3]) * nl) / m.net_bandwidth_bps +
-           double(o3.tiling(3).ntiles()) * m.net_latency_s;
-  };
+  const std::size_t nlt = o3.tiling(3).ntiles();
   run_claimed_phase(
-      par, label, c.n_tiles(), tile_owner_of(c), cost,
+      par, label, c.n_tiles(), tile_owner_of(c),
+      contract_cost(par, c, 3, o3.tiling(3).extent(), nlt),
       [&](RankCtx& ctx, std::size_t idx) {
       const auto& ti = c.tile_by_index(idx);
       RankBuffer out(ctx, ti.elements, "C tile");
-      RankBuffer o3buf(ctx, nslots * max_tile, "O3 fetch");
-      auto at = [&](std::size_t s) {
-        return ctx.real() ? o3buf.data() + s * max_tile : nullptr;
-      };
       const std::size_t td = ti.coord[3];
-      const std::size_t nlt = o3.tiling(3).ntiles();
-      GlobalArray::NbHandle fetch[2];
-      pipelined_fetch(
-          nlt, par.opt.overlap,
-          [&](std::size_t tll, std::size_t s) {
-            ga::TileCoord oc = {ti.coord[0], ti.coord[1], ti.coord[2],
-                                tll};
-            fetch[s] = o3.nbget(ctx, oc, at(s));
+      fetch_tiles(
+          par, ctx, o3, nlt, max_tile, "O3 fetch",
+          [&](std::size_t tll) {
+            return ga::TileCoord{ti.coord[0], ti.coord[1], ti.coord[2], tll};
           },
-          [&](std::size_t, std::size_t s) { ctx.wait_transfer(fetch[s]); },
-          [&](std::size_t tll, std::size_t s) {
+          [&](std::size_t tll, const double* o3t) {
             const std::size_t lenl = o3.tiling(3).len(tll);
             ctx.charge_flops(gemm_flops(ti.len[2], ti.len[3], lenl) *
                              double(ti.len[0] * ti.len[1]));
@@ -584,28 +599,22 @@ void contract4(Par& par, const GlobalArray& o3, GlobalArray& c,
             // are contiguous, so the batch folds into one tall pass.
             if (ctx.real())
               gemm_batched(Trans::No, Trans::Yes, ti.len[2], ti.len[3], lenl,
-                           1.0, at(s), lenl, ti.len[2] * lenl,
+                           1.0, o3t, lenl, ti.len[2] * lenl,
                            par.b() + par.t.lo(td) * par.n() + l_base +
                                o3.tiling(3).lo(tll),
                            par.n(), 0, 1.0, out.data(), ti.len[3],
                            ti.len[2] * ti.len[3], ti.len[0] * ti.len[1]);
           });
-      if (accumulate) {
-        if (par.opt.overlap)
-          c.nbacc(ctx, ti.coord, out.data());
-        else
-          c.acc(ctx, ti.coord, out.data());
-      } else {
-        if (par.opt.overlap)
-          c.nbput(ctx, ti.coord, out.data());
-        else
-          c.put(ctx, ti.coord, out.data());
-      }
+      store(par, ctx, c, ti.coord, out.data(), accumulate);
       });
 }
 
-/// Gather the distributed C into a PackedC (Real mode).
-tensor::PackedC gather_c(const Par& par, const GlobalArray& c) {
+/// The distributed C gathered into a PackedC, in Real mode with
+/// gather_result; empty otherwise.
+std::optional<tensor::PackedC> gather_c(const Par& par,
+                                        const GlobalArray& c) {
+  if (par.cl.mode() != runtime::ExecutionMode::Real || !par.opt.gather_result)
+    return std::nullopt;
   tensor::PackedC out(par.n(), par.p.irreps);
   for (std::size_t idx = 0; idx < c.n_tiles(); ++idx) {
     const auto& ti = c.tile_by_index(idx);
@@ -630,68 +639,37 @@ tensor::PackedC gather_c(const Par& par, const GlobalArray& c) {
   return out;
 }
 
-ParResult finish(Par& par, const char* name,
-                 const std::unique_ptr<GlobalArray>& c_ga,
-                 const WallTimer& timer, const runtime::CommStats& before,
-                 double sim_before) {
-  ParResult r;
-  r.stats.schedule = name;
-  // The cluster's metrics registry is the source of truth; totals()
-  // is its aggregate view, so these fields are registry-backed.
-  const auto after = par.cl.totals();
-  r.stats.sim_time = par.cl.sim_time() - sim_before;
-  r.stats.flops = after.flops - before.flops;
-  r.stats.integral_evals = after.integral_evals - before.integral_evals;
-  r.stats.remote_bytes = after.remote_bytes - before.remote_bytes;
-  r.stats.local_bytes = after.local_bytes - before.local_bytes;
-  r.stats.overlapped_seconds =
-      after.overlapped_seconds - before.overlapped_seconds;
-  r.stats.exposed_seconds = after.exposed_seconds - before.exposed_seconds;
-  r.stats.peak_global_bytes = par.cl.global_peak();
+/// This run's statistics: the difference between now and the Par's
+/// construction. Also records the run in the cluster registry: the
+/// schedule's run count and times, and the kernel-engine work (gemm.*)
+/// it triggered, next to the modeled compute.flops charges (Real mode
+/// drives the blocked gemm; Simulate mode adds zeros).
+ParStats finish(Par& par, const char* name) {
+  auto& reg = par.cl.metrics();
+  const Sums reg1 = reg.sums();
+  ParStats s;
+  s.schedule = name;
+  for (const auto& [field, metric] : kRunCounters)
+    s.*field = grown(par.reg0, reg1, metric);
+  s.sim_time = par.cl.sim_time() - par.sim0;
+  s.peak_global_bytes = par.cl.global_peak();
   // Worst per-phase imbalance of *this run* (the cluster-lifetime max
   // is Cluster::worst_imbalance); also published as the
   // sched.worst_imbalance gauge next to the scheduler counters.
-  double worst = 1.0;
-  for (std::size_t i = par.phases0; i < par.cl.phases().size(); ++i)
-    worst = std::max(worst, par.cl.phases()[i].imbalance);
-  r.stats.worst_imbalance = worst;
-  r.stats.n_phases = par.cl.phases().size();
-  r.stats.wall_seconds = timer.seconds();
-  // Schedule-level registry entries: which schedule ran on this
-  // cluster, how often, and the modeled time it contributed.
-  auto& reg = par.cl.metrics();
+  const auto& phases = par.cl.phases();
+  for (std::size_t i = par.phases0; i < phases.size(); ++i)
+    s.worst_imbalance = std::max(s.worst_imbalance, phases[i].imbalance);
+  s.n_phases = phases.size() - par.phases0;
+  s.wall_seconds = par.timer.seconds();
   const std::string prefix = std::string("schedule.") + name;
   reg.add(reg.counter(prefix + ".runs"), 0, 1);
-  reg.add(reg.counter(prefix + ".sim_time_s"), 0, r.stats.sim_time);
-  reg.add(reg.counter(prefix + ".host_wall_s"), 0, r.stats.wall_seconds);
-  // Actual kernel-engine activity during this transform (Real mode
-  // drives the blocked gemm; Simulate mode leaves these at zero).
-  auto& gm = blas::gemm_metrics();
-  reg.add(reg.counter("gemm.calls"), 0,
-          gm.sum("gemm.calls") - par.gemm_calls0);
-  reg.add(reg.counter("gemm.flops"), 0,
-          gm.sum("gemm.flops") - par.gemm_flops0);
-  reg.add(reg.counter("gemm.pack_bytes"), 0,
-          gm.sum("gemm.pack_bytes") - par.gemm_pack0);
-  // Dynamic-scheduler activity of this run (zero under Static).
-  r.stats.sched_claims = reg.sum("sched.claims") - par.sched_claims0;
-  r.stats.sched_steals = reg.sum("sched.steals") - par.sched_steals0;
-  r.stats.sched_counter_wait_s =
-      reg.sum("sched.counter_wait_s") - par.sched_wait0;
-  r.stats.sched_counter_fetches =
-      reg.sum("sched.counter_fetches") - par.sched_fetches0;
-  r.stats.sched_tree_hops = reg.sum("sched.tree_hops") - par.sched_hops0;
-  r.stats.recovery_fallback_epochs =
-      reg.sum("recovery.fallback_epochs") - par.fallback0;
-  r.stats.ckpt_verify_failures =
-      reg.sum("checkpoint.verify_failures") - par.verify_fail0;
-  r.stats.fault_domain_kills =
-      reg.sum("fault.domain_kills") - par.domain_kills0;
-  reg.set(par.id_sched_worst, 0, worst);
-  if (par.cl.mode() == runtime::ExecutionMode::Real &&
-      par.opt.gather_result && c_ga)
-    r.c = gather_c(par, *c_ga);
-  return r;
+  reg.add(reg.counter(prefix + ".sim_time_s"), 0, s.sim_time);
+  reg.add(reg.counter(prefix + ".host_wall_s"), 0, s.wall_seconds);
+  const Sums gemm1 = blas::gemm_metrics().sums();
+  for (const char* g : {"gemm.calls", "gemm.flops", "gemm.pack_bytes"})
+    reg.add(reg.counter(g), 0, grown(par.gemm0, gemm1, g));
+  reg.set(par.id_sched_worst, 0, s.worst_imbalance);
+  return s;
 }
 
 std::unique_ptr<GlobalArray> make_c(Par& par) {
@@ -705,113 +683,103 @@ std::unique_ptr<GlobalArray> make_c(Par& par) {
                                        par.spatial_filter(), owner);
 }
 
-}  // namespace
-
-bool unfused_fits(const Problem& p, const runtime::Cluster& cluster) {
-  const auto sz = p.sizes();
-  // Peak live set of the unfused chain plus ~10% tile padding slack.
-  const double need = 8.0 * (static_cast<double>(sz.unfused_peak()) +
-                             static_cast<double>(sz.c)) *
-                      1.10;
-  return need <= cluster.aggregate_capacity_bytes();
+/// One batch member's C is final: record when, relative to the run's
+/// start, and its gathered tensor.
+void collect(const Par& par, const GlobalArray& c, BatchParResult& r) {
+  r.member_done_s.push_back(par.cl.sim_time() - par.sim0);
+  r.c.push_back(gather_c(par, c));
 }
 
-ParResult unfused_par_transform(const Problem& p, Cluster& cluster,
-                                const ParOptions& opt) {
-  Par par(p, cluster, opt);
-  WallTimer timer;
-  const auto before = cluster.totals();
-  const double sim_before = cluster.sim_time();
-  std::vector<Tiling> dims(4, par.t);
+/// A schedule over a shared-basis batch: runs every member with its own
+/// B from `member_b` and collect()s each member's C once it is final.
+using BatchChain = void (*)(Par&, std::span<const tensor::Matrix>,
+                            BatchParResult&);
 
-  auto a = std::make_unique<GlobalArray>(
-      cluster, "A", dims,
-      ga::filter_and(ga::filter_triangular(0, 1),
-                     ga::filter_triangular(2, 3)));
+/// Runs `chain` over `member_b` and reports the batch as `name`.
+/// Members repeat the same phase shapes, so under Auto balance a
+/// private memo (when the caller brought none) pays the six-candidate
+/// claim DES once per phase. A batch of one repeats no phase, so the
+/// memo changes nothing for a solo run.
+BatchParResult run_batch(BatchChain chain, const char* name,
+                         const Problem& p,
+                         std::span<const tensor::Matrix> member_b,
+                         Cluster& cluster, const ParOptions& opt) {
+  FIT_REQUIRE(!member_b.empty(), "batched transform needs >= 1 member");
+  for (const auto& b : member_b)
+    FIT_REQUIRE(b.rows() == p.irreps.n_orbitals() &&
+                    b.cols() == p.irreps.n_orbitals(),
+                "batch member B must be " << p.irreps.n_orbitals()
+                                          << " x "
+                                          << p.irreps.n_orbitals());
+  ParOptions o = opt;
+  BalanceCache local_memo;
+  if (!o.balance_cache) o.balance_cache = &local_memo;
+  Par par(p, cluster, o);
+  BatchParResult r;
+  chain(par, member_b, r);
+  r.stats = finish(par, name);
+  return r;
+}
+
+/// A solo run: the problem's own B as the batch of one.
+ParResult run_solo(BatchChain chain, const char* name, const Problem& p,
+                   Cluster& cluster, const ParOptions& opt) {
+  BatchParResult r = run_batch(chain, name, p, std::span(&p.b, 1), cluster,
+                               opt);
+  return {std::move(r.c.front()), std::move(r.stats)};
+}
+
+/// Listing 4 x4 over a shared-basis batch: A is filled — and its
+/// integral evaluation paid — exactly once; each member then runs the
+/// four contractions with its own B. A frees after the last member's
+/// first contraction, and each member's C is gathered and freed before
+/// the next member starts, so the live set never exceeds A plus one
+/// member's chain.
+void unfused_chain(Par& par, std::span<const tensor::Matrix> member_b,
+                   BatchParResult& r) {
+  Cluster& cluster = par.cl;
+  const std::vector<Tiling> dims(4, par.t);
+  auto a = std::make_unique<GlobalArray>(cluster, "A", dims, both_pairs());
   fill_a(par, *a, 0, "fill A");
 
-  auto o1 = std::make_unique<GlobalArray>(cluster, "O1", dims,
-                                          ga::filter_triangular(2, 3));
-  contract1(par, *a, *o1, "c1");
-  a.reset();
+  for (std::size_t m = 0; m < member_b.size(); ++m) {
+    par.b_active = &member_b[m];
 
-  auto o2 = std::make_unique<GlobalArray>(
-      cluster, "O2", dims,
-      ga::filter_and(ga::filter_triangular(0, 1),
-                     ga::filter_triangular(2, 3)));
-  contract2(par, *o1, *o2, "c2");
-  o1.reset();
+    auto o1 = std::make_unique<GlobalArray>(cluster, "O1", dims,
+                                            ga::filter_triangular(2, 3));
+    contract1(par, *a, *o1, "c1");
+    if (m + 1 == member_b.size()) a.reset();
 
-  auto o3 = std::make_unique<GlobalArray>(cluster, "O3", dims,
-                                          ga::filter_triangular(0, 1));
-  contract3(par, *o2, *o3, /*kl_symmetric=*/true, "c3");
-  o2.reset();
-
-  auto c = make_c(par);
-  contract4(par, *o3, *c, 0, /*accumulate=*/false, "c4");
-  o3.reset();
-
-  return finish(par, "unfused", c, timer, before, sim_before);
-}
-
-ParResult fused_par_transform(const Problem& p, Cluster& cluster,
-                              const ParOptions& opt) {
-  Par par(p, cluster, opt);
-  WallTimer timer;
-  const auto before = cluster.totals();
-  const double sim_before = cluster.sim_time();
-  auto c = make_c(par);
-
-  const Tiling lt(par.n(), std::min(opt.tile_l, par.n()));
-  for (std::size_t sl = 0; sl < lt.ntiles(); ++sl) {
-    const std::size_t llo = lt.lo(sl);
-    const std::size_t llen = lt.len(sl);
-    const std::string tag = " [l-slice " + std::to_string(sl) + "]";
-    std::vector<Tiling> sdims = {par.t, par.t, par.t, Tiling(llen, llen)};
-
-    auto al = std::make_unique<GlobalArray>(cluster, "A_l", sdims,
-                                            ga::filter_triangular(0, 1));
-    fill_a(par, *al, llo, "fill A" + tag);
-
-    auto o1 = std::make_unique<GlobalArray>(cluster, "O1_l", sdims);
-    contract1(par, *al, *o1, "c1" + tag);
-    al.reset();
-
-    auto o2 = std::make_unique<GlobalArray>(cluster, "O2_l", sdims,
-                                            ga::filter_triangular(0, 1));
-    contract2(par, *o1, *o2, "c2" + tag);
+    auto o2 = std::make_unique<GlobalArray>(cluster, "O2", dims,
+                                            both_pairs());
+    contract2(par, *o1, *o2, "c2");
     o1.reset();
 
-    auto o3 = std::make_unique<GlobalArray>(cluster, "O3_l", sdims,
+    auto o3 = std::make_unique<GlobalArray>(cluster, "O3", dims,
                                             ga::filter_triangular(0, 1));
-    contract3(par, *o2, *o3, /*kl_symmetric=*/false, "c3" + tag);
+    contract3(par, *o2, *o3, /*kl_symmetric=*/true, "c3");
     o2.reset();
 
-    contract4(par, *o3, *c, llo, /*accumulate=*/true, "c4" + tag);
+    auto c = make_c(par);
+    contract4(par, *o3, *c, 0, /*accumulate=*/false, "c4");
     o3.reset();
+    collect(par, *c, r);
   }
-  return finish(par, "fused", c, timer, before, sim_before);
 }
 
-namespace {
-
-/// One member of a (possibly single-element) shared-basis batch as the
-/// fused-inner slice driver sees it: where to accumulate its C, and
-/// which transformation matrix to contract with.
-struct FusedInnerMember {
-  GlobalArray* c;
-  const tensor::Matrix* b;
-};
-
-/// The fused-inner slice loop (Listing 10), shared between the
-/// single-problem entry point and the shared-basis batch: per l-slice
-/// the A slice is produced once and every member replays the fused12 /
-/// fused34 phases against it with its own B. Phase labels are
-/// per-slice but member-invariant, so an Auto balance memo amortizes
-/// the claim DES across members as well.
-void fused_inner_slices(Par& par,
-                        std::span<const FusedInnerMember> members) {
+/// Listing 10 over a shared-basis batch: per l-slice the A slice is
+/// produced once and every member replays the fused12 / fused34 phases
+/// against it with its own B. Phase labels are per-slice but
+/// member-invariant, so an Auto balance memo amortizes the claim DES
+/// across members as well. Every member's C accumulates across every
+/// slice, so all of them stay allocated for the whole run — the
+/// memory/throughput trade core::plan_batch accounts for — and none is
+/// final before the last slice.
+void fused_inner_chain(Par& par, std::span<const tensor::Matrix> member_b,
+                       BatchParResult& r) {
   Cluster& cluster = par.cl;
+  std::vector<std::unique_ptr<GlobalArray>> cs;
+  for (std::size_t m = 0; m < member_b.size(); ++m) cs.push_back(make_c(par));
   const ParOptions& opt = par.opt;
   const std::size_t n = par.n();
   const std::size_t nranks = cluster.n_ranks();
@@ -889,9 +857,8 @@ void fused_inner_slices(Par& par,
     // Every member replays both fused phases against this slice's A
     // with its own B; the slice's A frees once the last member's
     // fused12 has consumed it, and only one member's O2 is ever live.
-    for (std::size_t mi = 0; mi < members.size(); ++mi) {
-      const FusedInnerMember& mem = members[mi];
-      par.b_active = mem.b;
+    for (std::size_t mi = 0; mi < member_b.size(); ++mi) {
+      par.b_active = &member_b[mi];
 
       // O2_l distributed so that the rank computing work unit (tk, ac)
       // owns every O2 tile it produces — puts stay local.
@@ -937,42 +904,26 @@ void fused_inner_slices(Par& par,
             // Gather the full (i,j) x (k in tk) x (l in slice) A block.
             // This is the A traffic that replicates with n_ac (Sec 7.3).
             RankBuffer bufa(ctx, n * n * m, "A block");
-            {
-              const std::size_t tw = par.t.max_width();
-              const std::size_t fmax = tw * tw * m;
-              const std::size_t nslots = par.opt.overlap ? 2 : 1;
-              RankBuffer fetchbuf(ctx, nslots * fmax, "A fetch");
-              auto at = [&](std::size_t s) {
-                return ctx.real() ? fetchbuf.data() + s * fmax : nullptr;
-              };
-              GlobalArray::NbHandle fh[2];
-              pipelined_fetch(
-                  ij_tiles.size(), par.opt.overlap,
-                  [&](std::size_t q, std::size_t s) {
-                    ga::TileCoord ac4 = {ij_tiles[q].first,
-                                         ij_tiles[q].second, tk, 0};
-                    fh[s] = al->nbget(ctx, ac4, at(s));
-                  },
-                  [&](std::size_t, std::size_t s) {
-                    ctx.wait_transfer(fh[s]);
-                  },
-                  [&](std::size_t q, std::size_t s) {
-                    if (!ctx.real()) return;
-                    ga::TileCoord ac4 = {ij_tiles[q].first,
-                                         ij_tiles[q].second, tk, 0};
-                    const auto& info = al->info(ac4);
-                    const double* src = at(s);
-                    for (std::size_t i = info.lo[0];
-                         i < info.lo[0] + info.len[0]; ++i)
-                      for (std::size_t j = info.lo[1];
-                           j < info.lo[1] + info.len[1]; ++j)
-                        for (std::size_t x = 0; x < m; ++x) {
-                          const double v = *src++;
-                          bufa.data()[(i * n + j) * m + x] = v;
-                          bufa.data()[(j * n + i) * m + x] = v;
-                        }
-                  });
-            }
+            auto a_tile = [&](std::size_t q) {
+              return ga::TileCoord{ij_tiles[q].first, ij_tiles[q].second,
+                                   tk, 0};
+            };
+            const std::size_t tw = par.t.max_width();
+            fetch_tiles(
+                par, ctx, *al, ij_tiles.size(), tw * tw * m, "A fetch",
+                a_tile, [&](std::size_t q, const double* src) {
+                  if (!ctx.real()) return;
+                  const auto& info = al->info(a_tile(q));
+                  for (std::size_t i = info.lo[0];
+                       i < info.lo[0] + info.len[0]; ++i)
+                    for (std::size_t j = info.lo[1];
+                         j < info.lo[1] + info.len[1]; ++j)
+                      for (std::size_t x = 0; x < m; ++x) {
+                        const double v = *src++;
+                        bufa.data()[(i * n + j) * m + x] = v;
+                        bufa.data()[(j * n + i) * m + x] = v;
+                      }
+                });
             // Alpha-tile chunk [ta0, ta1) assigned to chunk ac.
             for (std::size_t ta = 0; ta < par.nt; ++ta) {
               if (chunk_of(ta) != ac) continue;
@@ -995,17 +946,13 @@ void fused_inner_slices(Par& par,
                                par.b() + par.t.lo(tb) * n, n, 0,
                                o1blk.data(), m, n * m, 0.0, o2tile.data(), m,
                                lenb * m, lena);
-                // Nonblocking: the O2 tile is consumed at issue, so the
-                // put hides behind the next (tb / ta) iteration's gemm.
-                if (par.opt.overlap)
-                  o2->nbput(ctx, ga::TileCoord{ta, tb, tk, 0},
-                            o2tile.data());
-                else
-                  o2->put(ctx, ga::TileCoord{ta, tb, tk, 0}, o2tile.data());
+                // The put hides behind the next (tb / ta) gemm.
+                store(par, ctx, *o2, ga::TileCoord{ta, tb, tk, 0},
+                      o2tile.data());
               }
             }
           });
-      if (mi + 1 == members.size()) al.reset();
+      if (mi + 1 == member_b.size()) al.reset();
 
       // ---- Fused contractions 3+4 ((ab)-parallel, Listing 10 bottom) -
       // Task = (ta, tb) pair row; cost = the O2-row gather, the O3
@@ -1043,38 +990,23 @@ void fused_inner_slices(Par& par,
             // Gather O2[(ab) row, all k] and compute the O3 block in
             // fast memory only — never communicated.
             RankBuffer bufo2(ctx, lena * lenb * n * llen, "O2 row");
-            {
-              const std::size_t tw = par.t.max_width();
-              const std::size_t fmax = tw * tw * tw * llen;
-              const std::size_t nslots = par.opt.overlap ? 2 : 1;
-              RankBuffer fetchbuf(ctx, nslots * fmax, "O2 fetch");
-              auto at = [&](std::size_t s) {
-                return ctx.real() ? fetchbuf.data() + s * fmax : nullptr;
-              };
-              GlobalArray::NbHandle fh[2];
-              pipelined_fetch(
-                  par.nt, par.opt.overlap,
-                  [&](std::size_t tk, std::size_t s) {
-                    ga::TileCoord oc = {ta, tb, tk, 0};
-                    fh[s] = o2->nbget(ctx, oc, at(s));
-                  },
-                  [&](std::size_t, std::size_t s) {
-                    ctx.wait_transfer(fh[s]);
-                  },
-                  [&](std::size_t tk, std::size_t s) {
-                    if (!ctx.real()) return;
-                    ga::TileCoord oc = {ta, tb, tk, 0};
-                    const auto& info = o2->info(oc);
-                    const double* src = at(s);
-                    for (std::size_t ia = 0; ia < lena; ++ia)
-                      for (std::size_t ib = 0; ib < lenb; ++ib)
-                        for (std::size_t k = info.lo[2];
-                             k < info.lo[2] + info.len[2]; ++k)
-                          for (std::size_t ll = 0; ll < llen; ++ll)
-                            bufo2.data()[((ia * lenb + ib) * n + k) * llen +
-                                         ll] = *src++;
-                  });
-            }
+            auto o2_tile = [&](std::size_t tk) {
+              return ga::TileCoord{ta, tb, tk, 0};
+            };
+            const std::size_t tw = par.t.max_width();
+            fetch_tiles(
+                par, ctx, *o2, par.nt, tw * tw * tw * llen, "O2 fetch",
+                o2_tile, [&](std::size_t tk, const double* src) {
+                  if (!ctx.real()) return;
+                  const auto& info = o2->info(o2_tile(tk));
+                  for (std::size_t ia = 0; ia < lena; ++ia)
+                    for (std::size_t ib = 0; ib < lenb; ++ib)
+                      for (std::size_t k = info.lo[2];
+                           k < info.lo[2] + info.len[2]; ++k)
+                        for (std::size_t ll = 0; ll < llen; ++ll)
+                          bufo2.data()[((ia * lenb + ib) * n + k) * llen +
+                                       ll] = *src++;
+                });
             RankBuffer bufo3(ctx, lena * lenb * n * llen, "O3 block");
             ctx.charge_flops(gemm_flops(n, llen, n) * double(lena * lenb));
             if (ctx.real())
@@ -1097,164 +1029,90 @@ void fused_inner_slices(Par& par,
                                n * llen, par.b() + par.t.lo(td) * n + llo, n,
                                0, 1.0, ctile.data(), lend, lenc * lend,
                                lena * lenb);
-                // Nonblocking: the accumulate lands at issue (under the
-                // GA acc mutex); its wire time hides behind the next
-                // (tc,td) tile's gemm.
-                if (par.opt.overlap)
-                  mem.c->nbacc(ctx, ga::TileCoord{ta, tb, tc, td},
-                               ctile.data());
-                else
-                  mem.c->acc(ctx, ga::TileCoord{ta, tb, tc, td},
-                             ctile.data());
+                // The accumulate lands at issue (under the GA acc
+                // mutex) and hides behind the next (tc,td) tile's gemm.
+                store(par, ctx, *cs[mi], ga::TileCoord{ta, tb, tc, td},
+                      ctile.data(), /*accumulate=*/true);
               }
           });
       o2.reset();
     }
-    par.b_active = nullptr;
+  }
+  for (auto& c : cs) {
+    collect(par, *c, r);
+    c.reset();
   }
 }
 
 }  // namespace
 
+bool unfused_fits(const Problem& p, const runtime::Cluster& cluster) {
+  const auto sz = p.sizes();
+  // Peak live set of the unfused chain plus ~10% tile padding slack.
+  const double need = 8.0 * (static_cast<double>(sz.unfused_peak()) +
+                             static_cast<double>(sz.c)) *
+                      1.10;
+  return need <= cluster.aggregate_capacity_bytes();
+}
+
+ParResult unfused_par_transform(const Problem& p, Cluster& cluster,
+                                const ParOptions& opt) {
+  return run_solo(unfused_chain, "unfused", p, cluster, opt);
+}
+
+ParResult fused_par_transform(const Problem& p, Cluster& cluster,
+                              const ParOptions& opt) {
+  Par par(p, cluster, opt);
+  auto c = make_c(par);
+
+  const Tiling lt(par.n(), std::min(opt.tile_l, par.n()));
+  for (std::size_t sl = 0; sl < lt.ntiles(); ++sl) {
+    const std::size_t llo = lt.lo(sl);
+    const std::size_t llen = lt.len(sl);
+    const std::string tag = " [l-slice " + std::to_string(sl) + "]";
+    std::vector<Tiling> sdims = {par.t, par.t, par.t, Tiling(llen, llen)};
+
+    auto al = std::make_unique<GlobalArray>(cluster, "A_l", sdims,
+                                            ga::filter_triangular(0, 1));
+    fill_a(par, *al, llo, "fill A" + tag);
+
+    auto o1 = std::make_unique<GlobalArray>(cluster, "O1_l", sdims);
+    contract1(par, *al, *o1, "c1" + tag);
+    al.reset();
+
+    auto o2 = std::make_unique<GlobalArray>(cluster, "O2_l", sdims,
+                                            ga::filter_triangular(0, 1));
+    contract2(par, *o1, *o2, "c2" + tag);
+    o1.reset();
+
+    auto o3 = std::make_unique<GlobalArray>(cluster, "O3_l", sdims,
+                                            ga::filter_triangular(0, 1));
+    contract3(par, *o2, *o3, /*kl_symmetric=*/false, "c3" + tag);
+    o2.reset();
+
+    contract4(par, *o3, *c, llo, /*accumulate=*/true, "c4" + tag);
+    o3.reset();
+  }
+  return {gather_c(par, *c), finish(par, "fused")};
+}
+
 ParResult fused_inner_par_transform(const Problem& p, Cluster& cluster,
                                     const ParOptions& opt) {
-  Par par(p, cluster, opt);
-  WallTimer timer;
-  const auto before = cluster.totals();
-  const double sim_before = cluster.sim_time();
-  auto c = make_c(par);
-  const FusedInnerMember self{c.get(), &p.b};
-  fused_inner_slices(par, std::span<const FusedInnerMember>(&self, 1));
-  return finish(par, "fused-inner", c, timer, before, sim_before);
+  return run_solo(fused_inner_chain, "fused-inner", p, cluster, opt);
 }
 
 BatchParResult batched_unfused_par_transform(
     const Problem& p, std::span<const tensor::Matrix> member_b,
     Cluster& cluster, const ParOptions& opt) {
-  FIT_REQUIRE(!member_b.empty(), "batched transform needs >= 1 member");
-  for (const auto& b : member_b)
-    FIT_REQUIRE(b.rows() == p.irreps.n_orbitals() &&
-                    b.cols() == p.irreps.n_orbitals(),
-                "batch member B must be " << p.irreps.n_orbitals()
-                                          << " x "
-                                          << p.irreps.n_orbitals());
-  // A private Auto memo (when the caller brought none) shares the
-  // per-phase DES picks across members: the contraction phases have
-  // identical shape for every member, so the six-candidate planning
-  // is paid once per phase.
-  ParOptions o = opt;
-  BalanceCache local_memo;
-  if (!o.balance_cache) o.balance_cache = &local_memo;
-  Par par(p, cluster, o);
-  WallTimer timer;
-  const auto before = cluster.totals();
-  const double sim_before = cluster.sim_time();
-  std::vector<Tiling> dims(4, par.t);
-
-  BatchParResult r;
-
-  // The AO integral tensor is member-invariant: fill it — and pay its
-  // integral evaluation — exactly once for the whole batch.
-  auto a = std::make_unique<GlobalArray>(
-      cluster, "A", dims,
-      ga::filter_and(ga::filter_triangular(0, 1),
-                     ga::filter_triangular(2, 3)));
-  fill_a(par, *a, 0, "fill A");
-
-  for (std::size_t m = 0; m < member_b.size(); ++m) {
-    par.b_active = &member_b[m];
-
-    auto o1 = std::make_unique<GlobalArray>(cluster, "O1", dims,
-                                            ga::filter_triangular(2, 3));
-    contract1(par, *a, *o1, "c1");
-    if (m + 1 == member_b.size()) a.reset();
-
-    auto o2 = std::make_unique<GlobalArray>(
-        cluster, "O2", dims,
-        ga::filter_and(ga::filter_triangular(0, 1),
-                       ga::filter_triangular(2, 3)));
-    contract2(par, *o1, *o2, "c2");
-    o1.reset();
-
-    auto o3 = std::make_unique<GlobalArray>(cluster, "O3", dims,
-                                            ga::filter_triangular(0, 1));
-    contract3(par, *o2, *o3, /*kl_symmetric=*/true, "c3");
-    o2.reset();
-
-    auto c = make_c(par);
-    contract4(par, *o3, *c, 0, /*accumulate=*/false, "c4");
-    o3.reset();
-
-    r.member_done_s.push_back(cluster.sim_time() - sim_before);
-    if (cluster.mode() == runtime::ExecutionMode::Real && o.gather_result)
-      r.c.emplace_back(gather_c(par, *c));
-    else
-      r.c.emplace_back(std::nullopt);
-    // Each member's C frees before the next member starts — the
-    // unfused batch's live set never exceeds one member's chain.
-    c.reset();
-  }
-  par.b_active = nullptr;
-
-  static const std::unique_ptr<GlobalArray> no_c;  // already gathered
-  r.stats =
-      std::move(finish(par, "batched-unfused", no_c, timer, before,
-                       sim_before)
-                    .stats);
-  return r;
+  return run_batch(unfused_chain, "batched-unfused", p, member_b, cluster,
+                   opt);
 }
 
 BatchParResult batched_fused_inner_par_transform(
     const Problem& p, std::span<const tensor::Matrix> member_b,
     Cluster& cluster, const ParOptions& opt) {
-  FIT_REQUIRE(!member_b.empty(), "batched transform needs >= 1 member");
-  for (const auto& b : member_b)
-    FIT_REQUIRE(b.rows() == p.irreps.n_orbitals() &&
-                    b.cols() == p.irreps.n_orbitals(),
-                "batch member B must be " << p.irreps.n_orbitals()
-                                          << " x "
-                                          << p.irreps.n_orbitals());
-  ParOptions o = opt;
-  BalanceCache local_memo;
-  if (!o.balance_cache) o.balance_cache = &local_memo;
-  Par par(p, cluster, o);
-  WallTimer timer;
-  const auto before = cluster.totals();
-  const double sim_before = cluster.sim_time();
-
-  // Every member's C accumulates across every l-slice, so all of them
-  // stay allocated for the whole run — the memory/throughput trade
-  // core::plan_batch accounts for.
-  std::vector<std::unique_ptr<GlobalArray>> cs;
-  std::vector<FusedInnerMember> members;
-  cs.reserve(member_b.size());
-  members.reserve(member_b.size());
-  for (std::size_t m = 0; m < member_b.size(); ++m) {
-    cs.push_back(make_c(par));
-    members.push_back(FusedInnerMember{cs.back().get(), &member_b[m]});
-  }
-
-  fused_inner_slices(par, members);
-
-  BatchParResult r;
-  const double done = cluster.sim_time() - sim_before;
-  for (std::size_t m = 0; m < member_b.size(); ++m) {
-    // No member is complete before the last slice: every C is only
-    // final at batch end.
-    r.member_done_s.push_back(done);
-    if (cluster.mode() == runtime::ExecutionMode::Real && o.gather_result)
-      r.c.emplace_back(gather_c(par, *cs[m]));
-    else
-      r.c.emplace_back(std::nullopt);
-    cs[m].reset();
-  }
-
-  static const std::unique_ptr<GlobalArray> no_c;  // already gathered
-  r.stats =
-      std::move(finish(par, "batched-fused-inner", no_c, timer, before,
-                       sim_before)
-                    .stats);
-  return r;
+  return run_batch(fused_inner_chain, "batched-fused-inner", p, member_b,
+                   cluster, opt);
 }
 
 std::vector<tensor::Matrix> batch_member_bs(const Problem& p,
@@ -1314,20 +1172,13 @@ ParResult resilient_transform(const Problem& p, Cluster& cluster,
 ParResult nwchem_unfused_par_transform(const Problem& p, Cluster& cluster,
                                        const ParOptions& opt) {
   Par par(p, cluster, opt);
-  WallTimer timer;
-  const auto before = cluster.totals();
-  const double sim_before = cluster.sim_time();
   std::vector<Tiling> dims(4, par.t);
 
   // Production behaviour: every tensor is allocated up front and kept
   // until the end — the ~1.5 n^4 aggregate footprint.
-  GlobalArray a(cluster, "A", dims,
-                ga::filter_and(ga::filter_triangular(0, 1),
-                               ga::filter_triangular(2, 3)));
+  GlobalArray a(cluster, "A", dims, both_pairs());
   GlobalArray o1(cluster, "O1", dims, ga::filter_triangular(2, 3));
-  GlobalArray o2(cluster, "O2", dims,
-                 ga::filter_and(ga::filter_triangular(0, 1),
-                                ga::filter_triangular(2, 3)));
+  GlobalArray o2(cluster, "O2", dims, both_pairs());
   GlobalArray o3(cluster, "O3", dims, ga::filter_triangular(0, 1));
   auto c = make_c(par);
 
@@ -1337,16 +1188,12 @@ ParResult nwchem_unfused_par_transform(const Problem& p, Cluster& cluster,
   contract3(par, o2, o3, /*kl_symmetric=*/true, "c3");
   contract4(par, o3, *c, 0, /*accumulate=*/false, "c4");
 
-  auto r = finish(par, "nwchem-unfused", c, timer, before, sim_before);
-  return r;
+  return {gather_c(par, *c), finish(par, "nwchem-unfused")};
 }
 
 ParResult nwchem_recompute_par_transform(const Problem& p, Cluster& cluster,
                                          const ParOptions& opt) {
   Par par(p, cluster, opt);
-  WallTimer timer;
-  const auto before = cluster.totals();
-  const double sim_before = cluster.sim_time();
   const std::size_t n = par.n();
   const std::size_t np = tensor::npairs(n);
   const std::size_t nranks = cluster.n_ranks();
@@ -1465,7 +1312,7 @@ ParResult nwchem_recompute_par_transform(const Problem& p, Cluster& cluster,
             c->acc(ctx, ga::TileCoord{ta, tb, tc, td}, ctile.data());
           }
       });
-  return finish(par, "nwchem-recompute", c, timer, before, sim_before);
+  return {gather_c(par, *c), finish(par, "nwchem-recompute")};
 }
 
 }  // namespace fit::core

@@ -25,6 +25,13 @@
 // reference) or Simulate mode (counters and modeled time only; used at
 // paper scale). OutOfMemoryError propagates to the caller — that is
 // the "Failed" outcome of Figure 2.
+//
+// The unfused and fused-inner chains are each written once, over a
+// span of member B matrices: a solo run is the batch of one, and the
+// batched_* entry points below run the same chain over a shared-basis
+// batch. Every schedule fills its ParStats from one diff of the
+// cluster's metrics registry (and the kernel engine's) against a
+// snapshot taken when the run starts.
 #pragma once
 
 #include <optional>
@@ -129,7 +136,9 @@ struct ParStats {
   double remote_bytes = 0;
   /// Bytes moved within a node.
   double local_bytes = 0;
-  /// Aggregate GA high-water mark (bytes).
+  /// Aggregate GA high-water mark (bytes). Unlike the other fields this
+  /// is the cluster's: its lifetime peak, which a run on a cluster that
+  /// has already run something larger does not lower.
   double peak_global_bytes = 0;
   /// Seconds of wire/disk time hidden behind compute by the
   /// nonblocking pipelines (see runtime::CommStats).
@@ -139,9 +148,9 @@ struct ParStats {
   /// Worst per-phase imbalance of this run: max over the run's phases
   /// of makespan * ranks / total rank time.
   double worst_imbalance = 1.0;
-  /// BSP phases executed.
+  /// BSP phases this run executed.
   std::size_t n_phases = 0;
-  /// Host time spent simulating.
+  /// Host time of the run, the Real-mode gather of C included.
   double wall_seconds = 0;
   /// Tasks claimed through the counter or a steal during this run
   /// (zero under Balance::Static).

@@ -145,6 +145,18 @@ RunningStats MetricsRegistry::hist(std::string_view name) const {
   return m.hist;
 }
 
+std::map<std::string, double, std::less<>> MetricsRegistry::sums() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::map<std::string, double, std::less<>> out;
+  for (const auto& m : metrics_) {
+    if (m.kind == MetricKind::Histogram) continue;
+    double s = 0;
+    for (double v : m.per_rank) s += v;
+    out.emplace(m.name, s);
+  }
+  return out;
+}
+
 std::vector<std::string> MetricsRegistry::names() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::string> out;

@@ -18,6 +18,8 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
+#include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -61,6 +63,10 @@ class MetricsRegistry {
   double value(std::string_view name, std::size_t rank) const;
   /// Snapshot of one histogram.
   RunningStats hist(std::string_view name) const;
+  /// Snapshot of sum() for every counter and gauge, by name: diff two
+  /// of them to get what happened in between (a name created after the
+  /// first one counts from zero).
+  std::map<std::string, double, std::less<>> sums() const;
 
   /// Names in creation order.
   std::vector<std::string> names() const;
@@ -85,7 +91,12 @@ class MetricsRegistry {
   const Metric& named(std::string_view name) const;
 
   std::size_t n_ranks_;
-  mutable std::mutex mutex_;
+  // On a cache line of its own (shared only with what it guards):
+  // every lane takes this lock, and an owner such as runtime::Cluster,
+  // often a stack object, keeps fields beside it that lanes read
+  // without the lock. Unaligned, whether the two shared a line
+  // depended on the owner's address.
+  alignas(64) mutable std::mutex mutex_;
   std::vector<Metric> metrics_;
 };
 

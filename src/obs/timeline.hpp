@@ -63,7 +63,8 @@ class Timeline {
     double t;
   };
 
-  mutable std::mutex mutex_;
+  // On a cache line of its own, like MetricsRegistry's lock.
+  alignas(64) mutable std::mutex mutex_;
   std::vector<std::string> names_;
   std::vector<Span> spans_;
   std::vector<Instant> instants_;

@@ -96,20 +96,22 @@ Server::~Server() {
 }
 
 std::string Server::handle_line(const std::string& line) {
-  // Route on the verb; anything unparseable falls through to
-  // submit_line, whose taxonomy response covers malformed JSON too.
+  // Parse once and route on the verb; the transform path hands the
+  // parsed document to the service. A line that is not JSON goes to
+  // submit_line, whose taxonomy reply reports the parse error.
+  obs::json::Value doc;
+  try {
+    doc = obs::json::parse(line);
+  } catch (const Error&) {
+    return service_.submit_line(line).to_json().dump();
+  }
   std::string verb = "transform";
   std::uint64_t ticket = 0;
-  try {
-    const obs::json::Value doc = obs::json::parse(line);
-    if (doc.is_object()) {
-      if (const auto* v = doc.find("verb"); v && v->is_string())
-        verb = v->as_string();
-      if (const auto* t = doc.find("ticket"); t && t->is_number())
-        ticket = static_cast<std::uint64_t>(t->as_number());
-    }
-  } catch (const Error&) {
-    // submit_line re-parses and reports the taxonomy message.
+  if (doc.is_object()) {
+    if (const auto* v = doc.find("verb"); v && v->is_string())
+      verb = v->as_string();
+    if (const auto* t = doc.find("ticket"); t && t->is_number())
+      ticket = static_cast<std::uint64_t>(t->as_number());
   }
 
   if (verb == "stats") return service_.metrics().to_json(false).dump();
@@ -142,7 +144,7 @@ std::string Server::handle_line(const std::string& line) {
     doc["ran"] = std::move(ran);
     return doc.dump();
   }
-  return service_.submit_line(line).to_json().dump();
+  return service_.submit(doc).to_json().dump();
 }
 
 std::size_t Server::serve_forever(std::size_t max_requests) {

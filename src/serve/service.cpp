@@ -208,25 +208,39 @@ Response TransformService::submit(const Request& r) {
   return rsp;
 }
 
-Response TransformService::submit_line(const std::string& json_line) {
+Response TransformService::submit(const obs::json::Value& doc) {
   std::optional<Request> req;
   try {
-    req = parse_request(obs::json::parse(json_line));
+    req = parse_request(doc);
     return submit(*req);
   } catch (const Error& e) {
-    // Malformed request or JSON, or a request that failed while being
-    // planned or run: a taxonomy response, not a dead server. A request
-    // that parsed gets its batch width and tenant echoed back.
-    reg_->add(reg_->counter("serve.errors"), 0, 1);
-    Response rsp;
-    rsp.admission = Admission::Error;
-    rsp.error = e.what();
-    if (req) {
-      rsp.batch = req->batch;
-      rsp.tenant = req->tenant;
-    }
-    return rsp;
+    return failed(e, req ? &*req : nullptr);
   }
+}
+
+Response TransformService::submit_line(const std::string& json_line) {
+  obs::json::Value doc;
+  try {
+    doc = obs::json::parse(json_line);
+  } catch (const Error& e) {
+    return failed(e, nullptr);
+  }
+  return submit(doc);
+}
+
+Response TransformService::failed(const Error& e, const Request* req) {
+  // Malformed request or JSON, or a request that failed while being
+  // planned or run: a taxonomy response, not a dead server. A request
+  // that parsed gets its batch width and tenant echoed back.
+  reg_->add(reg_->counter("serve.errors"), 0, 1);
+  Response rsp;
+  rsp.admission = Admission::Error;
+  rsp.error = e.what();
+  if (req) {
+    rsp.batch = req->batch;
+    rsp.tenant = req->tenant;
+  }
+  return rsp;
 }
 
 Response TransformService::admit_and_run(const Request& r, bool from_queue) {

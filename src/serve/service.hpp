@@ -34,6 +34,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "serve/cost_oracle.hpp"
+#include "util/error.hpp"
 
 namespace fit::serve {
 
@@ -131,9 +132,12 @@ class TransformService {
 
   /// Admit (and unless plan_only/queued/rejected, execute) a request.
   Response submit(const Request& r);
-  /// Parse one NDJSON request line and submit it; malformed input
-  /// becomes an Admission::Error response carrying the taxonomy
+  /// Read one parsed NDJSON request document and submit it; a malformed
+  /// request becomes an Admission::Error response carrying the taxonomy
   /// message instead of an exception (the server loop stays up).
+  Response submit(const obs::json::Value& doc);
+  /// Parse one NDJSON request line and submit it; a line that is not
+  /// JSON is answered the same way.
   Response submit_line(const std::string& json_line);
 
   /// Release a reservation (a finished plan_only admission). Frees its
@@ -185,6 +189,8 @@ class TransformService {
 
   std::uint64_t fingerprint(const Request& r, const std::string& source) const;
   Response admit_and_run(const Request& r, bool from_queue);
+  /// The taxonomy reply to `e`, echoing what `req` (if it parsed) asked.
+  Response failed(const Error& e, const Request* req);
   Response run(const Request& r, CacheEntry& entry, Response rsp);
 
   CostOracle oracle_;

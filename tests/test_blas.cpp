@@ -7,7 +7,6 @@
 
 #include "blas/gemm.hpp"
 #include "blas/level1.hpp"
-#include "blas/level2.hpp"
 #include "blas/tune.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -44,31 +43,6 @@ TEST(Level1, StridedVariants) {
   EXPECT_DOUBLE_EQ(y[1], 3.0);
   EXPECT_DOUBLE_EQ(y[2], 4.0);
   EXPECT_DOUBLE_EQ(fit::blas::dot(3, x.data(), 2, x.data(), 2), 14.0);
-}
-
-TEST(Level2, GemvAgainstManual) {
-  // A = [[1,2],[3,4],[5,6]] (3x2), x = [1,10]
-  std::vector<double> a = {1, 2, 3, 4, 5, 6};
-  std::vector<double> x = {1, 10};
-  std::vector<double> y(3, 0.0);
-  fit::blas::gemv_n(3, 2, 1.0, a.data(), 2, x.data(), y.data());
-  EXPECT_DOUBLE_EQ(y[0], 21.0);
-  EXPECT_DOUBLE_EQ(y[1], 43.0);
-  EXPECT_DOUBLE_EQ(y[2], 65.0);
-
-  std::vector<double> xt = {1, 1, 1};
-  std::vector<double> yt(2, 0.0);
-  fit::blas::gemv_t(3, 2, 1.0, a.data(), 2, xt.data(), yt.data());
-  EXPECT_DOUBLE_EQ(yt[0], 9.0);
-  EXPECT_DOUBLE_EQ(yt[1], 12.0);
-}
-
-TEST(Level2, GerRankOne) {
-  std::vector<double> a(6, 0.0);
-  std::vector<double> x = {1, 2, 3}, y = {10, 20};
-  fit::blas::ger(3, 2, 1.0, x.data(), y.data(), a.data(), 2);
-  EXPECT_DOUBLE_EQ(a[0], 10.0);
-  EXPECT_DOUBLE_EQ(a[5], 60.0);
 }
 
 struct GemmCase {

@@ -3,6 +3,7 @@
 // memory/communication properties the paper claims for each.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <tuple>
@@ -199,22 +200,50 @@ TEST(Batched, BatchedBeatsSequentialAndReportsMemberCompletion) {
 }
 
 TEST(Batched, SingleMemberBatchMatchesPlainSchedules) {
+  // A solo run is the batch of one: same bits and the same modeled
+  // work for both chains, under the static owner map and under the
+  // planner-picked balance (whose batch memo must not change a run
+  // that repeats no phase).
   auto p = core::make_problem(chem::custom_molecule("batch", 10, 2, 614));
   const auto bs = core::batch_member_bs(p, 1);
-  core::ParOptions opt;
-  opt.tile = 5;
-  opt.tile_l = 5;
-
-  Cluster c1(test_machine(1, 2), ExecutionMode::Real);
-  auto solo = core::fused_inner_par_transform(p, c1, opt);
-  Cluster c2(test_machine(1, 2), ExecutionMode::Real);
-  auto batch = core::batched_fused_inner_par_transform(p, bs, c2, opt);
-  ASSERT_TRUE(solo.c.has_value());
-  ASSERT_TRUE(batch.c[0].has_value());
-  EXPECT_EQ(batch.c[0]->max_abs_diff(*solo.c), 0.0);
-  // Identical modeled work too: same phases, same claims, same bytes.
-  EXPECT_DOUBLE_EQ(batch.stats.sim_time, solo.stats.sim_time);
-  EXPECT_DOUBLE_EQ(batch.stats.remote_bytes, solo.stats.remote_bytes);
+  for (const ga::Balance balance : {ga::Balance::Static, ga::Balance::Auto}) {
+    SCOPED_TRACE(ga::to_string(balance));
+    core::ParOptions opt;
+    opt.tile = 5;
+    opt.tile_l = 5;
+    opt.balance = balance;
+    auto check = [](const core::ParResult& solo,
+                    const core::BatchParResult& batch) {
+      ASSERT_TRUE(solo.c.has_value());
+      ASSERT_EQ(batch.c.size(), 1u);
+      ASSERT_TRUE(batch.c[0].has_value());
+      EXPECT_EQ(batch.c[0]->max_abs_diff(*solo.c), 0.0);
+      // Identical modeled work too: same phases, same claims, same
+      // bytes, same memory high-water mark.
+      EXPECT_DOUBLE_EQ(batch.stats.sim_time, solo.stats.sim_time);
+      EXPECT_DOUBLE_EQ(batch.stats.remote_bytes, solo.stats.remote_bytes);
+      EXPECT_DOUBLE_EQ(batch.stats.flops, solo.stats.flops);
+      EXPECT_DOUBLE_EQ(batch.stats.integral_evals,
+                       solo.stats.integral_evals);
+      EXPECT_EQ(batch.stats.n_phases, solo.stats.n_phases);
+      EXPECT_DOUBLE_EQ(batch.stats.peak_global_bytes,
+                       solo.stats.peak_global_bytes);
+    };
+    {
+      Cluster c1(test_machine(1, 2), ExecutionMode::Real);
+      Cluster c2(test_machine(1, 2), ExecutionMode::Real);
+      SCOPED_TRACE("unfused");
+      check(core::unfused_par_transform(p, c1, opt),
+            core::batched_unfused_par_transform(p, bs, c2, opt));
+    }
+    {
+      Cluster c1(test_machine(1, 2), ExecutionMode::Real);
+      Cluster c2(test_machine(1, 2), ExecutionMode::Real);
+      SCOPED_TRACE("fused-inner");
+      check(core::fused_inner_par_transform(p, c1, opt),
+            core::batched_fused_inner_par_transform(p, bs, c2, opt));
+    }
+  }
 }
 
 TEST(ParProperties, FusedPeakMemoryFarBelowUnfused) {
@@ -350,6 +379,45 @@ TEST(ParProperties, ImbalanceReportedAboveOne) {
   EXPECT_GE(r.stats.worst_imbalance, 1.0);
   EXPECT_GT(r.stats.n_phases, 4u);
   EXPECT_GT(r.stats.sim_time, 0.0);
+}
+
+TEST(ParStats, SecondRunOnOneClusterReportsOnlyItsOwnWork) {
+  // Every per-run field of ParStats covers this run alone: a fused-inner
+  // run on a cluster that has just run unfused reports what the same
+  // run reports on a fresh cluster.
+  auto p = core::make_problem(chem::custom_molecule("rerun", 12, 2, 31));
+  core::ParOptions o;
+  o.tile = 4;
+  o.tile_l = 4;
+  o.balance = ga::Balance::Counter;
+  Cluster used(test_machine(2, 2), ExecutionMode::Simulate);
+  core::unfused_par_transform(p, used, o);
+  const core::ParStats second =
+      core::fused_inner_par_transform(p, used, o).stats;
+  Cluster fresh(test_machine(2, 2), ExecutionMode::Simulate);
+  const core::ParStats alone =
+      core::fused_inner_par_transform(p, fresh, o).stats;
+
+  // Counts are exact; seconds are differences of running sums, so they
+  // may differ in the last bits from a fresh cluster's.
+  auto same_seconds = [](double a, double b) {
+    EXPECT_NEAR(a, b, 1e-12 * std::abs(b));
+  };
+  EXPECT_EQ(second.n_phases, alone.n_phases);
+  same_seconds(second.sim_time, alone.sim_time);
+  EXPECT_EQ(second.flops, alone.flops);
+  EXPECT_EQ(second.integral_evals, alone.integral_evals);
+  EXPECT_EQ(second.remote_bytes, alone.remote_bytes);
+  EXPECT_EQ(second.local_bytes, alone.local_bytes);
+  same_seconds(second.overlapped_seconds, alone.overlapped_seconds);
+  same_seconds(second.exposed_seconds, alone.exposed_seconds);
+  EXPECT_DOUBLE_EQ(second.worst_imbalance, alone.worst_imbalance);
+  EXPECT_EQ(second.sched_claims, alone.sched_claims);
+  EXPECT_EQ(second.sched_steals, alone.sched_steals);
+  same_seconds(second.sched_counter_wait_s, alone.sched_counter_wait_s);
+  EXPECT_EQ(second.sched_counter_fetches, alone.sched_counter_fetches);
+  EXPECT_EQ(second.sched_tree_hops, alone.sched_tree_hops);
+  EXPECT_GT(second.sched_claims, 0.0);
 }
 
 TEST(ParProperties, NegativeCounterBatchEnvThrowsBeforeTheRun) {
