@@ -1,7 +1,8 @@
 // Section 7.4 ablation: the fuse/unfuse hybrid's decision boundary.
 //
 // Sweep the cluster's aggregate memory across the unfused footprint
-// and record which schedule the hybrid picks and the resulting time.
+// and record which schedule the hybrid (resilient_transform, deciding
+// with core::check_capacity) picks and the resulting time.
 // Expected shape: below the boundary only the fused schedule runs
 // (slower in flops, but it runs); above it the hybrid switches to
 // unfused and the time drops by the ~1.5x symmetry-breaking factor
@@ -44,7 +45,7 @@ int main() {
     runtime::Cluster cl(m, runtime::ExecutionMode::Simulate);
     const std::string key = "f" + fmt_fixed(f, 2);
     try {
-      auto r = core::hybrid_transform(p, cl, o);
+      auto r = core::resilient_transform(p, cl, o);
       t.add_row({fmt_fixed(f, 2),
                  human_bytes(m.aggregate_memory_bytes()),
                  r.stats.schedule, fmt_fixed(r.stats.sim_time, 4),

@@ -164,14 +164,11 @@ void head_to_head(fit::obs::BenchReport& report) {
   };
 
   const auto base = fit::blas::gemm_config();
-  const fit::blas::IsaLevel active =
-      base.deterministic ? fit::blas::IsaLevel::Scalar : base.isa;
+  const fit::blas::IsaLevel active = base.isa;
   report.add_scalar("gemm.config.mc", double(base.mc));
   report.add_scalar("gemm.config.kc", double(base.kc));
   report.add_scalar("gemm.config.nc", double(base.nc));
   report.add_scalar("gemm.config.threads", double(base.threads));
-  report.add_scalar("gemm.config.deterministic",
-                    base.deterministic ? 1.0 : 0.0);
   report.add_scalar("gemm.isa", double(static_cast<int>(active)));
   report.add_scalar("gemm.isa_detected",
                     double(static_cast<int>(fit::blas::detected_isa())));

@@ -155,7 +155,7 @@ inline void run_panel(const std::string& panel, const std::string& molecule,
       fit::runtime::Cluster cl(cfg.machine,
                                fit::runtime::ExecutionMode::Simulate);
       try {
-        auto r = fit::core::hybrid_transform(p, cl, o);
+        auto r = fit::core::resilient_transform(p, cl, o);
         hybrid.ran = true;
         hybrid.time = r.stats.sim_time;
         hybrid_wall = r.stats.wall_seconds;

@@ -35,7 +35,16 @@ int main(int argc, char** argv) {
 
   auto mol = chem::paper_molecule("Shell-Mixed");
   auto problem = core::make_problem(mol);
-  auto plan = core::plan_for_cluster(problem, machine, 4);
+  core::ParOptions opt;
+  opt.tile = 8;
+  opt.tile_l = 4;
+  opt.gather_result = false;
+  auto plan = core::plan_for_cluster(problem, machine, opt.tile_l);
+  // The decision itself is per rank: does the unfused chain fit every
+  // rank of the idle machine?
+  const auto fit =
+      core::check_capacity(problem, core::Chain::Unfused, 1, opt,
+                           core::CapacityView::idle(machine));
 
   std::cout << "unfused transform needs "
             << human_bytes(plan.aggregate_need_unfused_bytes)
@@ -43,17 +52,12 @@ int main(int argc, char** argv) {
             << human_bytes(plan.aggregate_need_fused_bytes) << "\n"
             << "largest n (unfused): " << plan.max_n_unfused
             << ", largest n (fused): " << plan.max_n_fused << "\n"
-            << "decision: " << (plan.use_fused_outer ? "FUSE" : "unfused")
-            << "\n\n";
+            << "decision: " << (fit.fits ? "unfused" : "FUSE")
+            << " (unfused chain: " << core::to_string(fit) << ")\n\n";
 
   std::cout << core::to_string(core::plan_fusion(
       double(problem.n()), double(problem.irreps.order()),
       machine.aggregate_memory_bytes() / 8.0)) << "\n";
-
-  core::ParOptions opt;
-  opt.tile = 8;
-  opt.tile_l = 4;
-  opt.gather_result = false;
 
   std::cout << "attempting the NWChem-style unfused transform of "
             << mol.name << " (n=" << mol.n_orbitals << " scaled)...\n";

@@ -332,11 +332,7 @@ void gemm_batched(Trans ta, Trans tb, std::size_t m, std::size_t n,
   if (m == 0 || n == 0 || batch == 0) return;
 
   const GemmConfig cfg = gemm_config();
-  // Determinism mode pins the scalar level through the same dispatch
-  // table FOURINDEX_CPU=scalar resolves to — one verified code path,
-  // not a parallel compile-time branch.
-  const IsaLevel level = cfg.deterministic ? IsaLevel::Scalar : cfg.isa;
-  const KernelTable& kt = kernel_table_for(level);
+  const KernelTable& kt = kernel_table_for(cfg.isa);
 
   // Scale every member's C by beta once, up front; beta == 1 skips the
   // pass entirely.
@@ -356,7 +352,7 @@ void gemm_batched(Trans ta, Trans tb, std::size_t m, std::size_t n,
   auto& reg = gemm_metrics();
   reg.add(em.calls, 0, 1.0);
   reg.add(em.flops, 0, flops);
-  reg.set(em.isa, 0, static_cast<double>(level));
+  reg.set(em.isa, 0, static_cast<double>(cfg.isa));
 
   // The blocking rules, applied to one member's m x n x k exactly as a
   // lone call applies them — for k > KC they fix each C element's
@@ -511,10 +507,10 @@ void gemm_batched(Trans ta, Trans tb, std::size_t m, std::size_t n,
     char label[96];
     if (batch > 1)
       std::snprintf(label, sizeof(label), "gemm %zux%zux%zu x%zu [%s]", m, n,
-                    k, batch, isa_name(level));
+                    k, batch, isa_name(cfg.isa));
     else
       std::snprintf(label, sizeof(label), "gemm %zux%zux%zu [%s]", m, n, k,
-                    isa_name(level));
+                    isa_name(cfg.isa));
     const std::size_t name_id = ts.timeline.intern(label);
     ts.timeline.add_span(name_id, trace_track(ts), t_trace0,
                          trace_now(ts) - t_trace0);

@@ -190,9 +190,6 @@ GemmConfig GemmConfig::autotuned() {
   // Kernel dispatch: cpuid-detected level narrowed by FOURINDEX_CPU
   // (strict-parsed; requests above the detected level clamp loudly).
   cfg.isa = resolve_isa();
-
-  if (const char* env = std::getenv("FOURINDEX_DETERMINISTIC"))
-    cfg.deterministic = (env[0] != '\0' && env[0] != '0');
   return cfg;
 }
 

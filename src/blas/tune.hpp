@@ -1,6 +1,6 @@
 // GEMM engine configuration: cache-size-probed blocking parameters,
-// thread count, the dispatched ISA level, and the deterministic-kernel
-// switch, with environment overrides. The blocked DGEMM (gemm.cpp)
+// thread count and the dispatched ISA level, with environment
+// overrides. The blocked DGEMM (gemm.cpp)
 // reads the active config on every call, so tests and benchmarks can
 // retune at runtime via set_gemm_config().
 //
@@ -18,10 +18,9 @@
 //                                   level clamp loudly
 //   FOURINDEX_CPU_HZ                override the measured clock the
 //                                   roofline model uses
-//   FOURINDEX_DETERMINISTIC=1       pin the scalar kernel level (all
-//                                   levels are bit-identical anyway;
-//                                   this removes even the dispatch
-//                                   degree of freedom)
+//
+// Every ISA level produces the same bits; FOURINDEX_CPU=scalar pins the
+// scalar kernels when even the dispatch should not vary.
 #pragma once
 
 #include <cstddef>
@@ -40,8 +39,8 @@ inline constexpr std::size_t kGemmMR = 4;
 inline constexpr std::size_t kGemmNR = 8;
 
 /// One engine configuration: blocking parameters, lane count, k-split
-/// width, the dispatched ISA level and the deterministic switch. The
-/// blocked DGEMM snapshots the active one per call.
+/// width and the dispatched ISA level. The blocked DGEMM snapshots the
+/// active one per call.
 struct GemmConfig {
   std::size_t mc = 128;    ///< A panel rows (L2-resident: mc*kc)
   std::size_t kc = 256;    ///< contraction block (L1-resident microtiles)
@@ -49,12 +48,15 @@ struct GemmConfig {
   std::size_t threads = 1; ///< lanes for the ic/jr macro loops
   std::size_t ksplit = 1;  ///< k-split reduction chunks (1 off, 0 auto)
   IsaLevel isa = resolve_isa();  ///< dispatched kernel table
-  bool deterministic = false;    ///< force the scalar kernel level
+  /// Always false: the scalar-pinning switch is gone (FOURINDEX_CPU=
+  /// scalar pins the same kernels). Kept as a constant only because
+  /// the benchmark harness prints it.
+  static constexpr bool deterministic = false;
 
   /// Cache-size-probed defaults (sysconf cache probes with
   /// conservative fallbacks) with every FOURINDEX_GEMM_* /
-  /// FOURINDEX_THREADS / FOURINDEX_CPU / FOURINDEX_DETERMINISTIC
-  /// override applied. Reads the environment on every call.
+  /// FOURINDEX_THREADS / FOURINDEX_CPU override applied. Reads the
+  /// environment on every call.
   static GemmConfig autotuned();
 };
 

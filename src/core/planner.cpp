@@ -82,12 +82,6 @@ runtime::MachineConfig apply_rates(runtime::MachineConfig machine,
 
 ClusterPlan plan_for_cluster(const Problem& p,
                              const runtime::MachineConfig& machine,
-                             std::size_t tile_l) {
-  return plan_for_cluster(p, machine, tile_l, PlanRates{});
-}
-
-ClusterPlan plan_for_cluster(const Problem& p,
-                             const runtime::MachineConfig& machine,
                              std::size_t tile_l, const PlanRates& rates) {
   const runtime::MachineConfig m = apply_rates(machine, rates);
   ClusterPlan cp;
@@ -99,7 +93,6 @@ ClusterPlan plan_for_cluster(const Problem& p,
   cp.aggregate_need_fused_bytes =
       8.0 * bounds::eq8_global_memory(n, static_cast<double>(tile_l), s);
   const double agg = m.aggregate_memory_bytes();
-  cp.use_fused_outer = cp.aggregate_need_unfused_bytes * 1.10 > agg;
 
   // Inner transform (per l-slice): its output is the full C, which for
   // problems of interest exceeds local memory, so by Thm 6.2 full
@@ -138,7 +131,7 @@ ClusterPlan plan_for_cluster(const Problem& p,
 
 BatchPlan plan_batch(const Problem& p,
                      const runtime::MachineConfig& machine,
-                     std::size_t tile_l, std::size_t n_members,
+                     std::size_t n_members, Chain chain,
                      const PlanRates& rates) {
   const runtime::MachineConfig m = apply_rates(machine, rates);
   BatchPlan bp;
@@ -147,36 +140,8 @@ BatchPlan plan_batch(const Problem& p,
 
   const double n = static_cast<double>(p.n());
   const double s = static_cast<double>(p.irreps.order());
-  const auto sz = p.sizes();
-  const double a = static_cast<double>(sz.a);
-  const double c = static_cast<double>(sz.c);
+  const double a = static_cast<double>(p.sizes().a);
   const double members = static_cast<double>(bp.n_members);
-
-  // Unfused batch peak: the shared A lives until the last member's
-  // first contraction, and exactly one member's intermediate chain is
-  // in flight at a time (each member's C gathers and frees before the
-  // next starts).
-  const double chain = static_cast<double>(
-      std::max({sz.o1 + sz.o2, sz.o2 + sz.o3, sz.o3 + sz.c}));
-  const double unfused_total = 8.0 * (a + chain) * 1.10;
-
-  const double agg = m.aggregate_memory_bytes();
-  bp.use_fused_outer = unfused_total > agg;
-
-  if (bp.use_fused_outer) {
-    // Fused-outer batch: only the per-slice working set is shared, but
-    // every member's C stays resident for the whole run.
-    const double slice_set =
-        bounds::eq8_global_memory(n, static_cast<double>(tile_l), s) - c;
-    bp.shared_bytes = 8.0 * std::max(slice_set, 0.0);
-    bp.per_member_bytes = 8.0 * c;
-  } else {
-    bp.shared_bytes = 8.0 * a;
-    bp.per_member_bytes = 8.0 * chain;
-  }
-  bp.total_need_bytes =
-      bp.shared_bytes + (bp.use_fused_outer ? members : 1.0) *
-                            bp.per_member_bytes;
 
   // Member-invariant work: evaluating the AO integrals into A, spread
   // over the ranks' integral engines plus the puts that store it.
@@ -187,14 +152,13 @@ BatchPlan plan_batch(const Problem& p,
 
   // Per-member work: the contraction chain's flops and I/O at the
   // effective rates (same lower-bound shape as plan_for_cluster).
+  const bool unfused = chain == Chain::Unfused;
   const double n5 = n * n * n * n * n;
   const double agg_flops = m.flops_per_rank * ranks;
-  const double flops =
-      bp.use_fused_outer ? 4.5 * n5 : 3.0 * n5;
   const double io = bounds::io_opt(
-      bp.use_fused_outer ? FusionChoice::Fused1234 : FusionChoice::Unfused,
-      n, s);
-  bp.est_seconds_per_member = flops / agg_flops + 8.0 * io / agg_net;
+      unfused ? FusionChoice::Unfused : FusionChoice::Fused1234, n, s);
+  bp.est_seconds_per_member =
+      (unfused ? 3.0 : 4.5) * n5 / agg_flops + 8.0 * io / agg_net;
 
   bp.est_seconds_batched =
       bp.est_seconds_shared + members * bp.est_seconds_per_member;

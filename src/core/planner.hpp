@@ -10,8 +10,10 @@
 //      configurations infeasible for the machine at hand;
 //   3. picks the feasible configuration with the least I/O bound,
 //      which by Theorem 5.2's total order is op1234 when C fits in
-//      aggregate memory, op12/34 for the inner transform, and yields
-//      the fuse/unfuse hybrid of Sec. 7.4 at the cluster level.
+//      aggregate memory and op12/34 for the inner transform.
+//
+// Whether a distributed chain fits the machine is not decided here:
+// core::check_capacity answers it per rank.
 #pragma once
 
 #include <cstddef>
@@ -21,13 +23,14 @@
 
 #include "bounds/transform_bounds.hpp"
 #include "core/problem.hpp"
+#include "core/schedules_par.hpp"
 #include "ga/task_counter.hpp"
 #include "runtime/machine.hpp"
 
 /// \file
 /// \brief Lower-bounds-guided fusion planning (Sec. 5/6 conditions,
-/// Thm 5.2 selection order, the Sec. 7.4 cluster-level hybrid, and
-/// the per-phase balance-mode chooser behind ga::Balance::Auto.
+/// Thm 5.2 selection order, the Sec. 7 cluster-level bounds, and the
+/// per-phase balance-mode chooser behind ga::Balance::Auto.
 
 namespace fit::core {
 
@@ -94,17 +97,17 @@ struct PlanRates {
 runtime::MachineConfig apply_rates(runtime::MachineConfig machine,
                                    const PlanRates& rates);
 
-/// Cluster-level plan (Sec. 7): disk <-> aggregate-memory level picks
-/// fused vs unfused (the hybrid decision); the aggregate <-> local
-/// level picks the inner schedule for the per-slice transform.
+/// Cluster-level plan (Sec. 7): the paper's aggregate bounds at the
+/// disk <-> aggregate-memory level, and the inner schedule the
+/// aggregate <-> local level picks for the per-slice transform. The
+/// fused-vs-unfused decision itself is core::check_capacity's, per
+/// rank; the aggregate needs here are reported, not decided on.
 struct ClusterPlan {
-  /// False when the unfused intermediates fit aggregate memory.
-  bool use_fused_outer;
   /// Schedule of the inner four-index transform.
   bounds::FusionChoice inner_choice;
-  /// Aggregate bytes the unfused intermediate chain needs.
+  /// Aggregate bytes the unfused intermediate chain needs (Eq. 7).
   double aggregate_need_unfused_bytes;
-  /// Aggregate bytes the fused outer schedule needs per l-slice.
+  /// Aggregate bytes the fused outer schedule needs per l-slice (Eq. 8).
   double aggregate_need_fused_bytes;
   /// Largest extent n the cluster fits with the unfused chain.
   std::size_t max_n_unfused;
@@ -122,43 +125,24 @@ struct ClusterPlan {
 };
 
 /// Evaluate the two-level (disk/aggregate/local) plan of Sec. 7 for a
-/// problem on a machine, with fused outer-slice width `tile_l`.
+/// problem on a machine, with fused outer-slice width `tile_l`, priced
+/// at explicit effective rates (the measured ones from
+/// serve::CostOracle::rates(), or nominal defaults).
 ClusterPlan plan_for_cluster(const Problem& p,
                              const runtime::MachineConfig& machine,
-                             std::size_t tile_l);
+                             std::size_t tile_l, const PlanRates& rates = {});
 
-/// plan_for_cluster priced at explicit effective rates (the measured
-/// ones from serve::CostOracle::rates(), or nominal defaults).
-ClusterPlan plan_for_cluster(const Problem& p,
-                             const runtime::MachineConfig& machine,
-                             std::size_t tile_l, const PlanRates& rates);
-
-/// Amortization plan for a shared-basis batch of `n_members`
-/// transforms (the serve layer's `batch` requests): which state and
-/// work are member-invariant, what each member adds, and the
-/// batched-vs-sequential time estimates the admission controller and
-/// the throughput bench report. Like everything in this planner the
+/// Time estimates for a shared-basis batch of `n_members` transforms
+/// (the serve layer's `batch` requests) run through one chain: the
+/// member-invariant work, what each member adds, and the
+/// batched-vs-sequential totals the admission controller and the
+/// throughput bench report. Like everything in this planner the
 /// estimates are lower-bound-shaped: they order queues and justify
-/// batching, they do not promise wall clocks.
+/// batching, they do not promise wall clocks. What the batch needs in
+/// memory is core::check_capacity's answer.
 struct BatchPlan {
   /// Members the plan was made for.
   std::size_t n_members = 1;
-  /// True when the batch runs the fused-outer schedule (per-slice A,
-  /// every member's C live for the whole run) because the unfused
-  /// chain's batch peak does not fit aggregate memory.
-  bool use_fused_outer = false;
-  /// Aggregate bytes of member-invariant state: the shared AO tensor A
-  /// under the unfused chain, or the per-slice A/O2 working set under
-  /// the fused schedule.
-  double shared_bytes = 0;
-  /// Aggregate bytes each member adds at the batch's peak: one
-  /// member's intermediate chain under the unfused schedule (members
-  /// run one at a time), or its resident C under the fused schedule
-  /// (all members' C accumulate across every slice).
-  double per_member_bytes = 0;
-  /// Aggregate bytes the whole batch needs at its peak — what the
-  /// serve admission controller charges against remaining capacity.
-  double total_need_bytes = 0;
   /// Estimated seconds of member-invariant work (evaluating the AO
   /// integrals into A), paid once per batch.
   double est_seconds_shared = 0;
@@ -175,10 +159,11 @@ struct BatchPlan {
 };
 
 /// Evaluate the shared-basis batch plan for `n_members` transforms of
-/// problem `p` on a machine, priced at explicit effective rates.
+/// problem `p` run through `chain` on a machine, priced at explicit
+/// effective rates.
 BatchPlan plan_batch(const Problem& p,
                      const runtime::MachineConfig& machine,
-                     std::size_t tile_l, std::size_t n_members,
+                     std::size_t n_members, Chain chain,
                      const PlanRates& rates = {});
 
 /// Render a plan as a printable table (used by examples/benches).

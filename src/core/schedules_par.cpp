@@ -1,8 +1,10 @@
 #include "core/schedules_par.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -66,11 +68,10 @@ double grown(const Sums& before, const Sums& after, std::string_view name) {
   return at(after) - at(before);
 }
 
-/// Shared state for one parallel transform run.
-struct Par {
-  const Problem& p;
-  Cluster& cl;
-  ParOptions opt;
+/// The tile grid every distributed schedule runs on: the orbital
+/// tiling and the tile-level spatial symmetry masks. It needs no
+/// cluster, so check_capacity lays out a chain's arrays from it too.
+struct Grid {
   Tiling t;           // orbital tiling (all four dims)
   std::size_t nt;     // tile count per dimension
   // Spatial symmetry at tile granularity: irrep_mask[ti] is the set of
@@ -79,6 +80,41 @@ struct Par {
   // iff pair_mask[ta][tb] & pair_mask[tc][td] != 0.
   std::vector<std::uint32_t> irrep_mask;
   std::vector<std::vector<std::uint32_t>> pair_mask;
+
+  Grid(const Problem& p, std::size_t tile)
+      : t(Tiling::irrep_aligned(p.irreps, std::min(tile, p.n()))),
+        nt(t.ntiles()) {
+    irrep_mask.assign(nt, 0);
+    for (std::size_t ti = 0; ti < nt; ++ti)
+      for (std::size_t o = t.lo(ti); o < t.hi(ti); ++o)
+        irrep_mask[ti] |= 1u << p.irreps.of(o);
+    pair_mask.assign(nt, std::vector<std::uint32_t>(nt, 0));
+    for (std::size_t ti = 0; ti < nt; ++ti)
+      for (std::size_t tj = 0; tj < nt; ++tj)
+        for (unsigned h1 = 0; h1 < p.irreps.order(); ++h1)
+          for (unsigned h2 = 0; h2 < p.irreps.order(); ++h2)
+            if ((irrep_mask[ti] >> h1 & 1) && (irrep_mask[tj] >> h2 & 1))
+              pair_mask[ti][tj] |= 1u << (h1 ^ h2);
+  }
+
+  bool tile_allowed(std::size_t ta, std::size_t tb, std::size_t tc,
+                    std::size_t td) const {
+    return (pair_mask[ta][tb] & pair_mask[tc][td]) != 0;
+  }
+
+  ga::TileFilter spatial_filter() const {
+    return [this](std::span<const std::size_t> c) {
+      return c[0] >= c[1] && c[2] >= c[3] &&
+             tile_allowed(c[0], c[1], c[2], c[3]);
+    };
+  }
+};
+
+/// Shared state for one parallel transform run.
+struct Par : Grid {
+  const Problem& p;
+  Cluster& cl;
+  ParOptions opt;
 
   // Dynamic-scheduler metrics (see run_claimed_phase): how many tasks
   // were claimed through the counter/steal paths, the counter waits
@@ -98,11 +134,8 @@ struct Par {
   Sums reg0, gemm0;
 
   Par(const Problem& problem, Cluster& cluster, const ParOptions& options)
-      : p(problem), cl(cluster), opt(options),
-        t(Tiling::irrep_aligned(problem.irreps,
-                                std::min(options.tile, problem.n()))),
-        nt(t.ntiles()), sim0(cluster.sim_time()),
-        phases0(cluster.phases().size()) {
+      : Grid(problem, options.tile), p(problem), cl(cluster), opt(options),
+        sim0(cluster.sim_time()), phases0(cluster.phases().size()) {
     auto& reg = cl.metrics();
     id_sched_claims = reg.counter("sched.claims");
     id_sched_steals = reg.counter("sched.steals");
@@ -122,31 +155,8 @@ struct Par {
                               /*min=*/0);
     // Every run's registry lists what ParStats reports, even at zero.
     for (const auto& rc : kRunCounters) reg.counter(rc.second);
-    irrep_mask.assign(nt, 0);
-    for (std::size_t ti = 0; ti < nt; ++ti)
-      for (std::size_t o = t.lo(ti); o < t.hi(ti); ++o)
-        irrep_mask[ti] |= 1u << p.irreps.of(o);
-    pair_mask.assign(nt, std::vector<std::uint32_t>(nt, 0));
-    for (std::size_t ti = 0; ti < nt; ++ti)
-      for (std::size_t tj = 0; tj < nt; ++tj)
-        for (unsigned h1 = 0; h1 < p.irreps.order(); ++h1)
-          for (unsigned h2 = 0; h2 < p.irreps.order(); ++h2)
-            if ((irrep_mask[ti] >> h1 & 1) && (irrep_mask[tj] >> h2 & 1))
-              pair_mask[ti][tj] |= 1u << (h1 ^ h2);
     reg0 = reg.sums();
     gemm0 = blas::gemm_metrics().sums();
-  }
-
-  bool tile_allowed(std::size_t ta, std::size_t tb, std::size_t tc,
-                    std::size_t td) const {
-    return (pair_mask[ta][tb] & pair_mask[tc][td]) != 0;
-  }
-
-  ga::TileFilter spatial_filter() const {
-    return [this](std::span<const std::size_t> c) {
-      return c[0] >= c[1] && c[2] >= c[3] &&
-             tile_allowed(c[0], c[1], c[2], c[3]);
-    };
   }
 
   // Active transformation matrix: the problem's own B, unless a batch
@@ -305,12 +315,123 @@ void run_claimed_phase(
                 static_cast<double>(plan.n_fetches));
 }
 
+/// What one Global Array of a chain is built from. The chains allocate
+/// from these and check_capacity counts them, so both see the same
+/// tilings, filters and owners.
+struct ArraySpec {
+  const char* name;
+  std::vector<Tiling> dims;
+  ga::TileFilter filter;
+  ga::OwnerFn owner = {};  // empty = round-robin over existing tiles
+};
+
+std::unique_ptr<GlobalArray> alloc(Cluster& cluster, ArraySpec s) {
+  return std::make_unique<GlobalArray>(cluster, s.name, std::move(s.dims),
+                                       std::move(s.filter),
+                                       std::move(s.owner));
+}
+
 /// Tile filter of an array whose dims (0,1) and (2,3) are both
 /// triangular-stored symmetric pairs.
 ga::TileFilter both_pairs() {
   return ga::filter_and(ga::filter_triangular(0, 1),
                         ga::filter_triangular(2, 3));
 }
+
+// The unfused chain's arrays span the full orbital grid (Listing 4):
+// A and O2 store both symmetric pairs, O1 its (k,l) pair, O3 its (a,b)
+// pair.
+ArraySpec spec_a(const Grid& g) {
+  return {"A", std::vector<Tiling>(4, g.t), both_pairs()};
+}
+ArraySpec spec_o1(const Grid& g) {
+  return {"O1", std::vector<Tiling>(4, g.t), ga::filter_triangular(2, 3)};
+}
+ArraySpec spec_o2(const Grid& g) {
+  return {"O2", std::vector<Tiling>(4, g.t), both_pairs()};
+}
+ArraySpec spec_o3(const Grid& g) {
+  return {"O3", std::vector<Tiling>(4, g.t), ga::filter_triangular(0, 1)};
+}
+
+/// C, spatially filtered and distributed by its (alpha,beta) block row:
+/// Listing 10's final accumulation is then always local; harmless for
+/// the others.
+ArraySpec spec_c(const Grid& g) {
+  return {"C", std::vector<Tiling>(4, g.t), g.spatial_filter(),
+          [](std::span<const std::size_t> c, std::size_t nranks) {
+            return (c[0] * (c[0] + 1) / 2 + c[1]) % nranks;
+          }};
+}
+
+/// Tile grid of a width-`llen` l slice (Listings 8 and 10).
+std::vector<Tiling> slice_dims(const Grid& g, std::size_t llen) {
+  return {g.t, g.t, g.t, Tiling(llen, llen)};
+}
+
+/// A_l, the integrals of one l slice, stored (i >= j)-triangular.
+ArraySpec spec_a_l(const Grid& g, std::size_t llen) {
+  return {"A_l", slice_dims(g, llen), ga::filter_triangular(0, 1)};
+}
+
+/// Listing 10's alpha parallelization (Sec. 7.3): the alpha range of
+/// each k tile splits into n_ac chunks, alpha tile ta belongs to chunk
+/// chunk_of[ta], and work unit (tk, ac) runs on rank
+/// (tk * n_ac + ac) % nranks.
+struct AlphaChunks {
+  std::size_t n_ac;
+  std::vector<std::size_t> chunk_of;
+
+  AlphaChunks(const Grid& g, const ParOptions& opt, std::size_t nranks)
+      // With only the fused k loop parallel there are nt work units;
+      // splitting the alpha range into chunks multiplies parallelism
+      // (and the A communication).
+      : n_ac(opt.alpha_parallel > 0
+                 ? opt.alpha_parallel
+                 : std::max<std::size_t>(1, (nranks + g.nt - 1) / g.nt)),
+        chunk_of(g.nt) {
+    // The triangular alpha >= beta structure makes tile ta carry weight
+    // ~ sum_{tb<=ta} len(ta)*len(tb); greedy assignment of heavy tiles
+    // to the lightest chunk (Sec. 7.3's "alternative load balancing
+    // strategies") flattens the imbalance that contiguous ranges
+    // exhibit.
+    if (opt.alpha_chunking == ParOptions::AlphaChunking::Contiguous ||
+        n_ac == 1) {
+      for (std::size_t ta = 0; ta < g.nt; ++ta)
+        chunk_of[ta] = ta * n_ac / g.nt;
+      return;
+    }
+    std::vector<std::size_t> order(g.nt);
+    for (std::size_t ta = 0; ta < g.nt; ++ta) order[ta] = ta;
+    auto weight = [&](std::size_t ta) {
+      double w = 0;
+      for (std::size_t tb = 0; tb <= ta; ++tb)
+        w += double(g.t.len(ta)) * double(g.t.len(tb));
+      return w;
+    };
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t x, std::size_t y) {
+                return weight(x) > weight(y);
+              });
+    std::vector<double> load(n_ac, 0.0);
+    for (std::size_t ta : order) {
+      const std::size_t lightest = static_cast<std::size_t>(
+          std::min_element(load.begin(), load.end()) - load.begin());
+      chunk_of[ta] = lightest;
+      load[lightest] += weight(ta);
+    }
+  }
+
+  /// O2_l of a width-`llen` slice, distributed so that the rank that
+  /// computes work unit (tk, ac) owns every O2 tile it produces: puts
+  /// stay local.
+  ArraySpec o2_spec(const Grid& g, std::size_t llen) const {
+    return {"O2_l", slice_dims(g, llen), ga::filter_triangular(0, 1),
+            [this](std::span<const std::size_t> c, std::size_t nranks) {
+              return (c[2] * n_ac + chunk_of[c[0]]) % nranks;
+            }};
+  }
+};
 
 /// Task list for a tile-parallel phase: every existing tile of `out`,
 /// statically owned by the tile's owner — identical, in Static mode,
@@ -672,17 +793,6 @@ ParStats finish(Par& par, const char* name) {
   return s;
 }
 
-std::unique_ptr<GlobalArray> make_c(Par& par) {
-  std::vector<Tiling> dims(4, par.t);
-  // Listing 10 distributes C by its (alpha,beta) block row so the
-  // final accumulation is always local; harmless for the others.
-  auto owner = [](std::span<const std::size_t> c, std::size_t nranks) {
-    return (c[0] * (c[0] + 1) / 2 + c[1]) % nranks;
-  };
-  return std::make_unique<GlobalArray>(par.cl, "C", dims,
-                                       par.spatial_filter(), owner);
-}
-
 /// One batch member's C is final: record when, relative to the run's
 /// start, and its gathered tensor.
 void collect(const Par& par, const GlobalArray& c, BatchParResult& r) {
@@ -738,29 +848,25 @@ ParResult run_solo(BatchChain chain, const char* name, const Problem& p,
 void unfused_chain(Par& par, std::span<const tensor::Matrix> member_b,
                    BatchParResult& r) {
   Cluster& cluster = par.cl;
-  const std::vector<Tiling> dims(4, par.t);
-  auto a = std::make_unique<GlobalArray>(cluster, "A", dims, both_pairs());
+  auto a = alloc(cluster, spec_a(par));
   fill_a(par, *a, 0, "fill A");
 
   for (std::size_t m = 0; m < member_b.size(); ++m) {
     par.b_active = &member_b[m];
 
-    auto o1 = std::make_unique<GlobalArray>(cluster, "O1", dims,
-                                            ga::filter_triangular(2, 3));
+    auto o1 = alloc(cluster, spec_o1(par));
     contract1(par, *a, *o1, "c1");
     if (m + 1 == member_b.size()) a.reset();
 
-    auto o2 = std::make_unique<GlobalArray>(cluster, "O2", dims,
-                                            both_pairs());
+    auto o2 = alloc(cluster, spec_o2(par));
     contract2(par, *o1, *o2, "c2");
     o1.reset();
 
-    auto o3 = std::make_unique<GlobalArray>(cluster, "O3", dims,
-                                            ga::filter_triangular(0, 1));
+    auto o3 = alloc(cluster, spec_o3(par));
     contract3(par, *o2, *o3, /*kl_symmetric=*/true, "c3");
     o2.reset();
 
-    auto c = make_c(par);
+    auto c = alloc(cluster, spec_c(par));
     contract4(par, *o3, *c, 0, /*accumulate=*/false, "c4");
     o3.reset();
     collect(par, *c, r);
@@ -773,61 +879,19 @@ void unfused_chain(Par& par, std::span<const tensor::Matrix> member_b,
 /// member-invariant, so an Auto balance memo amortizes the claim DES
 /// across members as well. Every member's C accumulates across every
 /// slice, so all of them stay allocated for the whole run — the
-/// memory/throughput trade core::plan_batch accounts for — and none is
+/// memory/throughput trade check_capacity accounts for — and none is
 /// final before the last slice.
 void fused_inner_chain(Par& par, std::span<const tensor::Matrix> member_b,
                        BatchParResult& r) {
   Cluster& cluster = par.cl;
   std::vector<std::unique_ptr<GlobalArray>> cs;
-  for (std::size_t m = 0; m < member_b.size(); ++m) cs.push_back(make_c(par));
+  for (std::size_t m = 0; m < member_b.size(); ++m)
+    cs.push_back(alloc(cluster, spec_c(par)));
   const ParOptions& opt = par.opt;
   const std::size_t n = par.n();
   const std::size_t nranks = cluster.n_ranks();
-
-  // Alpha parallelization factor (Sec. 7.3): with only the fused k
-  // loop parallel there are nt work units; splitting the alpha range
-  // into chunks multiplies parallelism (and the A communication).
-  const std::size_t n_ac =
-      opt.alpha_parallel > 0
-          ? opt.alpha_parallel
-          : std::max<std::size_t>(1, (nranks + par.nt - 1) / par.nt);
-  // Map alpha tiles to chunks. The triangular alpha >= beta structure
-  // makes tile ta carry weight ~ sum_{tb<=ta} len(ta)*len(tb); greedy
-  // assignment of heavy tiles to the lightest chunk (Sec. 7.3's
-  // "alternative load balancing strategies") flattens the imbalance
-  // that contiguous ranges exhibit.
-  std::vector<std::size_t> chunk_map(par.nt);
-  if (opt.alpha_chunking == ParOptions::AlphaChunking::Contiguous ||
-      n_ac == 1) {
-    for (std::size_t ta = 0; ta < par.nt; ++ta)
-      chunk_map[ta] = ta * n_ac / par.nt;
-  } else {
-    std::vector<std::size_t> order(par.nt);
-    for (std::size_t ta = 0; ta < par.nt; ++ta) order[ta] = ta;
-    auto weight = [&](std::size_t ta) {
-      double w = 0;
-      for (std::size_t tb = 0; tb <= ta; ++tb)
-        w += double(par.t.len(ta)) * double(par.t.len(tb));
-      return w;
-    };
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t x, std::size_t y) {
-                return weight(x) > weight(y);
-              });
-    std::vector<double> load(n_ac, 0.0);
-    for (std::size_t ta : order) {
-      const std::size_t lightest = static_cast<std::size_t>(
-          std::min_element(load.begin(), load.end()) - load.begin());
-      chunk_map[ta] = lightest;
-      load[lightest] += weight(ta);
-    }
-  }
-  auto chunk_of = [&](std::size_t ta) { return chunk_map[ta]; };
-  // Static owner of fused12 work unit (tk, ac) — also the task index
-  // modulo the rank count, which the claim plans are seeded from.
-  auto unit_owner = [&](std::size_t tk, std::size_t ac) {
-    return (tk * n_ac + ac) % nranks;
-  };
+  const AlphaChunks chunks(par, opt, nranks);
+  const std::size_t n_ac = chunks.n_ac;
 
   // (ta, tb <= ta) pair rows of the fused34 phase, in the historical
   // order: pair p = ta*(ta+1)/2 + tb is its own task index.
@@ -841,10 +905,7 @@ void fused_inner_chain(Par& par, std::span<const tensor::Matrix> member_b,
     const std::size_t llo = lt.lo(sl);
     const std::size_t llen = lt.len(sl);
     const std::string tag = " [l-slice " + std::to_string(sl) + "]";
-    std::vector<Tiling> sdims = {par.t, par.t, par.t, Tiling(llen, llen)};
-
-    auto al = std::make_unique<GlobalArray>(cluster, "A_l", sdims,
-                                            ga::filter_triangular(0, 1));
+    auto al = alloc(cluster, spec_a_l(par, llen));
     fill_a(par, *al, llo, "fill A" + tag);
 
     // Tile pairs of the triangular A gather, in the historical
@@ -860,15 +921,7 @@ void fused_inner_chain(Par& par, std::span<const tensor::Matrix> member_b,
     for (std::size_t mi = 0; mi < member_b.size(); ++mi) {
       par.b_active = &member_b[mi];
 
-      // O2_l distributed so that the rank computing work unit (tk, ac)
-      // owns every O2 tile it produces — puts stay local.
-      auto o2_owner = [&](std::span<const std::size_t> tc,
-                          std::size_t ranks) {
-        (void)ranks;
-        return unit_owner(tc[2], chunk_of(tc[0]));
-      };
-      auto o2 = std::make_unique<GlobalArray>(
-          cluster, "O2_l", sdims, ga::filter_triangular(0, 1), o2_owner);
+      auto o2 = alloc(cluster, chunks.o2_spec(par, llen));
 
       // ---- Fused contractions 1+2 (k-parallel, Listing 10 top) -------
       // Work unit (tk, ac) = task tk*n_ac + ac; cost = the A-block
@@ -880,7 +933,7 @@ void fused_inner_chain(Par& par, std::span<const tensor::Matrix> member_b,
         const double dn = static_cast<double>(n);
         double flops = 0, put_bytes = 0;
         for (std::size_t ta = 0; ta < par.nt; ++ta) {
-          if (chunk_of(ta) != ac) continue;
+          if (chunks.chunk_of[ta] != ac) continue;
           const double lena = static_cast<double>(par.t.len(ta));
           flops += 2.0 * lena * dn * ext * dn;  // O1 block
           for (std::size_t tb = 0; tb <= ta; ++tb) {
@@ -926,7 +979,7 @@ void fused_inner_chain(Par& par, std::span<const tensor::Matrix> member_b,
                 });
             // Alpha-tile chunk [ta0, ta1) assigned to chunk ac.
             for (std::size_t ta = 0; ta < par.nt; ++ta) {
-              if (chunk_of(ta) != ac) continue;
+              if (chunks.chunk_of[ta] != ac) continue;
               const std::size_t lena = par.t.len(ta);
               // O1 block for all alpha in this tile, in fast memory
               // only — never communicated (the point of the fusion).
@@ -1046,13 +1099,119 @@ void fused_inner_chain(Par& par, std::span<const tensor::Matrix> member_b,
 
 }  // namespace
 
-bool unfused_fits(const Problem& p, const runtime::Cluster& cluster) {
-  const auto sz = p.sizes();
-  // Peak live set of the unfused chain plus ~10% tile padding slack.
-  const double need = 8.0 * (static_cast<double>(sz.unfused_peak()) +
-                             static_cast<double>(sz.c)) *
-                      1.10;
-  return need <= cluster.aggregate_capacity_bytes();
+CapacityView CapacityView::live(const runtime::Cluster& cluster) {
+  CapacityView v;
+  for (std::size_t r = 0; r < cluster.n_ranks(); ++r) {
+    const auto& mem = cluster.memory(r);
+    v.free_bytes.push_back(mem.capacity() - mem.used());
+    v.live_owner.push_back(cluster.live_owner(r));
+  }
+  return v;
+}
+
+CapacityView CapacityView::idle(const runtime::MachineConfig& machine) {
+  CapacityView v{std::vector<double>(machine.n_ranks(),
+                                     machine.mem_per_rank_bytes()),
+                 std::vector<std::size_t>(machine.n_ranks())};
+  std::iota(v.live_owner.begin(), v.live_owner.end(), std::size_t{0});
+  return v;
+}
+
+CapacityCheck check_capacity(const Problem& p, Chain chain,
+                             std::size_t members, const ParOptions& opt,
+                             const CapacityView& view) {
+  const std::size_t nranks = view.free_bytes.size();
+  FIT_REQUIRE(members >= 1 && nranks >= 1 &&
+                  view.live_owner.size() == nranks,
+              "capacity check needs >= 1 member and a view of every rank");
+  const Grid g(p, opt.tile);
+  // One array's bytes on each rank, tile by tile, as GlobalArray's
+  // constructor would place them.
+  auto bytes_of = [&](const ArraySpec& s) {
+    std::vector<double> b(nranks, 0.0);
+    ga::for_each_tile(s.dims, s.filter, s.owner, nranks,
+                      [&](std::span<const std::size_t>, std::size_t,
+                          std::size_t elements, std::size_t nominal) {
+                        b[view.live_owner[nominal]] += 8.0 * double(elements);
+                      });
+    return b;
+  };
+  // Replays the chain's allocations (sign +1) and frees (-1); an
+  // allocation is where a rank's live bytes can peak.
+  std::vector<double> live(nranks, 0.0), peak(nranks, 0.0);
+  double agg_live = 0, agg_peak = 0;
+  auto charge = [&](const std::vector<double>& b, double sign) {
+    for (std::size_t r = 0; r < nranks; ++r) {
+      live[r] += sign * b[r];
+      agg_live += sign * b[r];
+      peak[r] = std::max(peak[r], live[r]);
+    }
+    agg_peak = std::max(agg_peak, agg_live);
+  };
+  if (chain == Chain::Unfused) {
+    // unfused_chain: A, then per member O1 (A frees after the last
+    // member's c1), O2, O3 and C, each freeing its input once written.
+    const auto a = bytes_of(spec_a(g)), o1 = bytes_of(spec_o1(g)),
+               o2 = bytes_of(spec_o2(g)), o3 = bytes_of(spec_o3(g)),
+               c = bytes_of(spec_c(g));
+    charge(a, 1);
+    for (std::size_t m = 0; m < members; ++m) {
+      charge(o1, 1);
+      if (m + 1 == members) charge(a, -1);
+      charge(o2, 1);
+      charge(o1, -1);
+      charge(o3, 1);
+      charge(o2, -1);
+      charge(c, 1);
+      charge(o3, -1);
+      charge(c, -1);
+    }
+  } else {
+    // fused_inner_chain: every member's C for the whole run; per slice
+    // A_l, then per member one O2_l (A_l frees after the last member's
+    // fused12). Slices of equal width allocate the same arrays.
+    const AlphaChunks chunks(g, opt, nranks);
+    const auto c = bytes_of(spec_c(g));
+    for (std::size_t m = 0; m < members; ++m) charge(c, 1);
+    const Tiling lt(p.n(), std::min(opt.tile_l, p.n()));
+    for (std::size_t sl = 0; sl < lt.ntiles(); ++sl) {
+      if (sl > 0 && lt.len(sl) == lt.len(sl - 1)) continue;
+      const auto al = bytes_of(spec_a_l(g, lt.len(sl)));
+      const auto o2 = bytes_of(chunks.o2_spec(g, lt.len(sl)));
+      charge(al, 1);
+      for (std::size_t m = 0; m < members; ++m) {
+        charge(o2, 1);
+        if (m + 1 == members) charge(al, -1);
+        charge(o2, -1);
+      }
+    }
+  }
+  CapacityCheck out;
+  out.aggregate_peak_bytes = agg_peak;
+  double worst = -1;
+  for (std::size_t r = 0; r < nranks; ++r) {
+    if (view.live_owner[r] != r) continue;  // dead: holds nothing
+    const double free = view.free_bytes[r];
+    out.fits = out.fits && peak[r] <= free;
+    const double load =
+        peak[r] <= 0 ? 0.0
+        : free <= 0  ? std::numeric_limits<double>::infinity()
+                     : peak[r] / free;
+    if (load > worst) {
+      worst = load;
+      out.busiest_rank = r;
+      out.busiest_peak_bytes = peak[r];
+      out.busiest_free_bytes = free;
+    }
+  }
+  return out;
+}
+
+std::string to_string(const CapacityCheck& check) {
+  return "rank " + std::to_string(check.busiest_rank) + " peaks at " +
+         human_bytes(check.busiest_peak_bytes) +
+         " of Global-Array memory against its " +
+         human_bytes(check.busiest_free_bytes) + " free";
 }
 
 ParResult unfused_par_transform(const Problem& p, Cluster& cluster,
@@ -1063,30 +1222,27 @@ ParResult unfused_par_transform(const Problem& p, Cluster& cluster,
 ParResult fused_par_transform(const Problem& p, Cluster& cluster,
                               const ParOptions& opt) {
   Par par(p, cluster, opt);
-  auto c = make_c(par);
+  auto c = alloc(cluster, spec_c(par));
 
   const Tiling lt(par.n(), std::min(opt.tile_l, par.n()));
   for (std::size_t sl = 0; sl < lt.ntiles(); ++sl) {
     const std::size_t llo = lt.lo(sl);
     const std::size_t llen = lt.len(sl);
     const std::string tag = " [l-slice " + std::to_string(sl) + "]";
-    std::vector<Tiling> sdims = {par.t, par.t, par.t, Tiling(llen, llen)};
+    const std::vector<Tiling> sdims = slice_dims(par, llen);
 
-    auto al = std::make_unique<GlobalArray>(cluster, "A_l", sdims,
-                                            ga::filter_triangular(0, 1));
+    auto al = alloc(cluster, spec_a_l(par, llen));
     fill_a(par, *al, llo, "fill A" + tag);
 
-    auto o1 = std::make_unique<GlobalArray>(cluster, "O1_l", sdims);
+    auto o1 = alloc(cluster, {"O1_l", sdims, {}});
     contract1(par, *al, *o1, "c1" + tag);
     al.reset();
 
-    auto o2 = std::make_unique<GlobalArray>(cluster, "O2_l", sdims,
-                                            ga::filter_triangular(0, 1));
+    auto o2 = alloc(cluster, {"O2_l", sdims, ga::filter_triangular(0, 1)});
     contract2(par, *o1, *o2, "c2" + tag);
     o1.reset();
 
-    auto o3 = std::make_unique<GlobalArray>(cluster, "O3_l", sdims,
-                                            ga::filter_triangular(0, 1));
+    auto o3 = alloc(cluster, {"O3_l", sdims, ga::filter_triangular(0, 1)});
     contract3(par, *o2, *o3, /*kl_symmetric=*/false, "c3" + tag);
     o2.reset();
 
@@ -1126,22 +1282,11 @@ std::vector<tensor::Matrix> batch_member_bs(const Problem& p,
   return bs;
 }
 
-ParResult hybrid_transform(const Problem& p, Cluster& cluster,
-                           const ParOptions& opt) {
-  if (unfused_fits(p, cluster)) {
-    auto r = unfused_par_transform(p, cluster, opt);
-    r.stats.schedule = "hybrid(unfused)";
-    return r;
-  }
-  auto r = fused_inner_par_transform(p, cluster, opt);
-  r.stats.schedule = "hybrid(fused-inner)";
-  return r;
-}
-
 ParResult resilient_transform(const Problem& p, Cluster& cluster,
                               const ParOptions& opt) {
-  auto& reg = cluster.metrics();
-  if (unfused_fits(p, cluster)) {
+  const CapacityCheck fit = check_capacity(p, Chain::Unfused, 1, opt,
+                                           CapacityView::live(cluster));
+  if (fit.fits) {
     try {
       auto r = unfused_par_transform(p, cluster, opt);
       r.stats.schedule = "resilient(unfused)";
@@ -1151,6 +1296,7 @@ ParResult resilient_transform(const Problem& p, Cluster& cluster,
       // mid-run. The intermediates' GAs have been rolled back; degrade
       // along Thm 5.2's order to the O(n^3 Tl) fused-inner schedule
       // and recompute from the integrals.
+      auto& reg = cluster.metrics();
       reg.add(reg.counter("plan.replans"), 0, 1);
       cluster.note_instant("replan: unfused -> fused-inner", 0);
       auto r = fused_inner_par_transform(p, cluster, opt);
@@ -1163,7 +1309,7 @@ ParResult resilient_transform(const Problem& p, Cluster& cluster,
   }
   auto r = fused_inner_par_transform(p, cluster, opt);
   r.stats.schedule = "resilient(fused-inner)";
-  r.stats.note = "unfused intermediates exceed the live aggregate capacity";
+  r.stats.note = "unfused chain does not fit: " + to_string(fit);
   return r;
 }
 
@@ -1172,21 +1318,20 @@ ParResult resilient_transform(const Problem& p, Cluster& cluster,
 ParResult nwchem_unfused_par_transform(const Problem& p, Cluster& cluster,
                                        const ParOptions& opt) {
   Par par(p, cluster, opt);
-  std::vector<Tiling> dims(4, par.t);
 
   // Production behaviour: every tensor is allocated up front and kept
   // until the end — the ~1.5 n^4 aggregate footprint.
-  GlobalArray a(cluster, "A", dims, both_pairs());
-  GlobalArray o1(cluster, "O1", dims, ga::filter_triangular(2, 3));
-  GlobalArray o2(cluster, "O2", dims, both_pairs());
-  GlobalArray o3(cluster, "O3", dims, ga::filter_triangular(0, 1));
-  auto c = make_c(par);
+  auto a = alloc(cluster, spec_a(par));
+  auto o1 = alloc(cluster, spec_o1(par));
+  auto o2 = alloc(cluster, spec_o2(par));
+  auto o3 = alloc(cluster, spec_o3(par));
+  auto c = alloc(cluster, spec_c(par));
 
-  fill_a(par, a, 0, "fill A");
-  contract1(par, a, o1, "c1");
-  contract2(par, o1, o2, "c2");
-  contract3(par, o2, o3, /*kl_symmetric=*/true, "c3");
-  contract4(par, o3, *c, 0, /*accumulate=*/false, "c4");
+  fill_a(par, *a, 0, "fill A");
+  contract1(par, *a, *o1, "c1");
+  contract2(par, *o1, *o2, "c2");
+  contract3(par, *o2, *o3, /*kl_symmetric=*/true, "c3");
+  contract4(par, *o3, *c, 0, /*accumulate=*/false, "c4");
 
   return {gather_c(par, *c), finish(par, "nwchem-unfused")};
 }
@@ -1197,7 +1342,7 @@ ParResult nwchem_recompute_par_transform(const Problem& p, Cluster& cluster,
   const std::size_t n = par.n();
   const std::size_t np = tensor::npairs(n);
   const std::size_t nranks = cluster.n_ranks();
-  auto c = make_c(par);
+  auto c = alloc(cluster, spec_c(par));
 
   // Task = (ta, tb) pair row; dominated by the per-alpha integral
   // recomputation, so cost scales with lena regardless of how much of

@@ -17,9 +17,9 @@
 //                              schedule of Sec. 7.2/7.3, with optional
 //                              alpha-parallelization (more parallelism
 //                              at the cost of replicated A traffic).
-//   hybrid_transform           Sec. 7.4: picks unfused when the
-//                              intermediates fit in aggregate memory,
-//                              and the fused-inner schedule otherwise.
+//   resilient_transform        Sec. 7.4's fuse/unfuse hybrid: runs
+//                              unfused when check_capacity says it
+//                              fits every rank, fused-inner otherwise.
 //
 // All schedules run in Real mode (bit-checked against the sequential
 // reference) or Simulate mode (counters and modeled time only; used at
@@ -31,7 +31,8 @@
 // batched_* entry points below run the same chain over a shared-basis
 // batch. Every schedule fills its ParStats from one diff of the
 // cluster's metrics registry (and the kernel engine's) against a
-// snapshot taken when the run starts.
+// snapshot taken when the run starts. check_capacity is the one
+// answer to "does this chain fit?" that every capacity decision asks.
 #pragma once
 
 #include <optional>
@@ -49,7 +50,8 @@
 
 /// \file
 /// \brief Distributed schedules (Sec. 7): unfused, fused, fused-inner,
-/// the fuse/unfuse hybrid, and the fault-aware resilient wrapper.
+/// the fault-aware fuse/unfuse hybrid, and the per-rank capacity check
+/// that decides between them.
 
 namespace fit::core {
 
@@ -204,26 +206,64 @@ ParResult fused_inner_par_transform(const Problem& p,
                                     runtime::Cluster& cluster,
                                     const ParOptions& opt = {});
 
-/// The fuse/unfuse hybrid (Sec. 7.4). `stats.schedule` records the
-/// choice made.
-ParResult hybrid_transform(const Problem& p, runtime::Cluster& cluster,
-                           const ParOptions& opt = {});
-
-/// The hybrid's fault-aware sibling: chooses like hybrid_transform but
-/// against the *live* aggregate capacity (rank deaths and
-/// capacity-shrink faults lower it), and when a mid-run capacity loss
-/// turns the unfused chain's allocation into an OOM, degrades along
-/// Theorem 5.2's order to the fused-inner schedule and re-runs instead
-/// of failing. `stats.note` records the rationale; FaultError (retry
-/// budget exhausted) still propagates.
+/// The fuse/unfuse hybrid of Sec. 7.4, made fault-aware: runs the
+/// unfused chain when check_capacity says it fits the *live* cluster
+/// (rank deaths and capacity-shrink faults lower what is free), and the
+/// fused-inner schedule otherwise. When a capacity loss during the
+/// unfused run turns an allocation into an OOM, it degrades along
+/// Theorem 5.2's order to fused-inner and re-runs instead of failing.
+/// `stats.schedule` records the choice and `stats.note` the rationale;
+/// FaultError (retry budget exhausted) still propagates.
 ParResult resilient_transform(const Problem& p, runtime::Cluster& cluster,
                               const ParOptions& opt = {});
 
-/// Decision function of the hybrid: true if the unfused intermediates
-/// fit into the cluster's aggregate memory (with a small safety
-/// margin). Uses the live capacity view, which capacity-shrink faults
-/// and rank deaths reduce.
-bool unfused_fits(const Problem& p, const runtime::Cluster& cluster);
+/// The two chains check_capacity knows.
+enum class Chain {
+  Unfused,     ///< Listing 4 x4 (unfused_chain)
+  FusedInner,  ///< Listing 10 (fused_inner_chain)
+};
+
+/// The Global-Array memory a schedule may use, rank by rank.
+struct CapacityView {
+  /// Free bytes per rank (ignored for a dead rank).
+  std::vector<double> free_bytes;
+  /// live_owner[r]: the live rank that holds what rank r would own.
+  std::vector<std::size_t> live_owner;
+  /// A live cluster: each live rank's capacity minus what it holds.
+  static CapacityView live(const runtime::Cluster& cluster);
+  /// An idle machine: every rank alive and empty.
+  static CapacityView idle(const runtime::MachineConfig& machine);
+};
+
+/// check_capacity's verdict.
+struct CapacityCheck {
+  /// True when every tile stays in memory: no rank's peak exceeds its
+  /// free bytes (so nothing runs out of memory, and nothing spills on
+  /// a machine with a file system).
+  bool fits = true;
+  /// The live rank with the highest peak relative to its free bytes
+  /// (the lowest such rank on a tie).
+  std::size_t busiest_rank = 0;
+  /// That rank's Global-Array peak (bytes).
+  double busiest_peak_bytes = 0;
+  /// That rank's free bytes.
+  double busiest_free_bytes = 0;
+  /// Peak of the chain's Global-Array bytes summed over the ranks.
+  double aggregate_peak_bytes = 0;
+};
+
+/// Each rank's Global-Array peak for `chain` over a shared-basis batch
+/// of `members` transforms (1 = a solo run) with `opt`'s tiling, against
+/// `view`. Walks the tile grids of the arrays the chain allocates, in
+/// its allocation order and with its lifetimes, through the same
+/// enumeration GlobalArray's constructor uses; constructs no array and
+/// writes nothing to any cluster.
+CapacityCheck check_capacity(const Problem& p, Chain chain,
+                             std::size_t members, const ParOptions& opt,
+                             const CapacityView& view);
+
+/// "rank R peaks at X of Global-Array memory against its Y free".
+std::string to_string(const CapacityCheck& check);
 
 /// Result of a shared-basis batched transform: one output tensor per
 /// batch member plus whole-batch statistics.
@@ -261,7 +301,7 @@ BatchParResult batched_unfused_par_transform(
 /// batch while only one member's O2 slice is live at a time. All
 /// members' C arrays stay allocated for the whole run (each member's C
 /// accumulates across every slice) — the memory/throughput trade
-/// core::plan_batch accounts for. Results per member are bit-identical
+/// check_capacity accounts for. Results per member are bit-identical
 /// to solo fused_inner_par_transform runs.
 BatchParResult batched_fused_inner_par_transform(
     const Problem& p, std::span<const tensor::Matrix> member_b,

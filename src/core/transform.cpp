@@ -59,8 +59,6 @@ TransformOutcome four_index_transform(const Problem& p,
       r = fused_inner_par_transform(p, *cluster, opt.par);
       break;
     case Schedule::Hybrid:
-      r = hybrid_transform(p, *cluster, opt.par);
-      break;
     case Schedule::Resilient:
       r = resilient_transform(p, *cluster, opt.par);
       break;

@@ -30,7 +30,7 @@ enum class Schedule {
   ParUnfused,    ///< Listing 4 x4, distributed
   ParFused,      ///< Listing 8, distributed
   ParFusedInner, ///< Listing 10, distributed
-  Hybrid,        ///< Sec. 7.4 fuse/unfuse hybrid, distributed
+  Hybrid,        ///< Sec. 7.4 fuse/unfuse hybrid: runs Resilient
   Resilient,     ///< hybrid + fault recovery and bound-guided degradation
 };
 

@@ -30,6 +30,7 @@
 
 #include "runtime/cluster.hpp"
 #include "tensor/tiling.hpp"
+#include "util/error.hpp"
 
 /// \file
 /// \brief Global-Arrays-style distributed tiled tensors with one-sided
@@ -58,6 +59,41 @@ struct TileInfo {
   std::size_t owner = 0;         ///< Owning rank.
   std::size_t linear = 0;  ///< Dense linear tile id in the full grid.
 };
+
+/// Enumerates the tiles a GlobalArray over `dims` holds: every tile of
+/// the row-major tile grid that passes `filter` (all of them when it is
+/// empty), in grid order. `visit(coord, linear, elements, nominal)`
+/// runs once per tile with the tile's coordinate, its dense linear id,
+/// its element count and its nominal owner among `nranks` ranks:
+/// `owner`'s pick, or round-robin over the existing tiles when `owner`
+/// is empty. GlobalArray's constructor allocates through this, and
+/// core::check_capacity counts through it, so the two agree tile for
+/// tile.
+template <class Visit>
+void for_each_tile(std::span<const tensor::Tiling> dims,
+                   const TileFilter& filter, const OwnerFn& owner,
+                   std::size_t nranks, Visit&& visit) {
+  std::size_t grid = 1;
+  for (const auto& t : dims) grid *= t.ntiles();
+  TileCoord coord(dims.size(), 0);
+  std::size_t existing = 0;
+  for (std::size_t lin = 0; lin < grid; ++lin) {
+    if (lin > 0)  // step the coordinate, last dimension fastest
+      for (std::size_t d = dims.size(); d-- > 0;) {
+        if (++coord[d] < dims[d].ntiles()) break;
+        coord[d] = 0;
+      }
+    if (filter && !filter(coord)) continue;
+    std::size_t elements = 1;
+    for (std::size_t d = 0; d < dims.size(); ++d)
+      elements *= dims[d].len(coord[d]);
+    const std::size_t nominal =
+        owner ? owner(coord, nranks) : existing % nranks;
+    FIT_REQUIRE(nominal < nranks, "owner function out of range");
+    visit(std::span<const std::size_t>(coord), lin, elements, nominal);
+    ++existing;
+  }
+}
 
 /// An N-dimensional distributed tiled tensor with one-sided get / put /
 /// acc access, tile filtering for permutation and spatial symmetry,
@@ -113,7 +149,7 @@ class GlobalArray {
     return by_owner_[rank];
   }
   /// Metadata of the tile with internal index `idx` (as returned by
-  /// tiles_of / reassign_owner).
+  /// tiles_of / reassign_owners).
   const TileInfo& tile_by_index(std::size_t idx) const {
     return tiles_[idx].info;
   }
@@ -166,10 +202,6 @@ class GlobalArray {
   static void wait(runtime::RankCtx& ctx, NbHandle h) {
     ctx.wait_transfer(h);
   }
-  /// True when waiting on `h` now would not stall the clock.
-  static bool test(runtime::RankCtx& ctx, NbHandle h) {
-    return ctx.test_transfer(h);
-  }
   /// Complete every outstanding nb operation on this rank (all
   /// arrays — the link timeline is per rank, not per array).
   static void wait_all(runtime::RankCtx& ctx) { ctx.quiesce(); }
@@ -206,10 +238,6 @@ class GlobalArray {
   std::vector<std::size_t> reassign_owners(
       std::span<const std::size_t> dead,
       std::span<const std::size_t> targets);
-
-  /// Single-rank convenience wrapper over reassign_owners.
-  std::vector<std::size_t> reassign_owner(std::size_t dead,
-                                          std::span<const std::size_t> targets);
 
  private:
   struct Tile {
@@ -251,8 +279,6 @@ OwnerFn owner_by_dim(std::size_t dim);
 
 // Standard filters.
 
-/// Keep every tile (the default filter).
-TileFilter filter_all();
 /// tile[d0] >= tile[d1] — the unique-block filter for a symmetric
 /// index pair.
 TileFilter filter_triangular(std::size_t d0, std::size_t d1);

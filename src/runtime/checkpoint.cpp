@@ -349,11 +349,6 @@ double CheckpointManager::restore_domain(
   });
 }
 
-double CheckpointManager::restore_rank(std::size_t dead) {
-  const std::size_t ranks[1] = {dead};
-  return restore_domain(ranks);
-}
-
 void CheckpointManager::inject_corruption(std::size_t phase,
                                           std::size_t count,
                                           std::size_t depth) {

@@ -161,9 +161,6 @@ class CheckpointManager {
   /// read.
   double restore_domain(std::span<const std::size_t> dead);
 
-  /// Single-rank convenience wrapper over restore_domain.
-  double restore_rank(std::size_t dead);
-
   /// Apply a CkptCorrupt event: rot `count` at-rest tile copies
   /// (selected by the injector's deterministic weights) in each of
   /// the newest `depth` generations. Copies written by the client in

@@ -44,6 +44,13 @@ core::Problem problem_for(const Request& r) {
   return core::make_problem(chem::paper_molecule(r.molecule));
 }
 
+/// The chain a fusion verdict runs: op1/2/3/4 the unfused chain, every
+/// fused level the fused-inner schedule.
+core::Chain chain_for(bounds::FusionChoice f) {
+  return f == bounds::FusionChoice::Unfused ? core::Chain::Unfused
+                                            : core::Chain::FusedInner;
+}
+
 double selected_need_bytes(const core::Plan& plan) {
   for (const auto& e : plan.entries)
     if (e.choice == plan.selected) return 8.0 * e.min_fast_memory;
@@ -270,38 +277,51 @@ Response TransformService::admit_and_run(const Request& r, bool from_queue) {
   const double avail_elems = avail_bytes / 8.0;
 
   const core::PlanRates rates = oracle_.rates(nominal, n, r.tile);
+  const std::uint64_t key = fingerprint(r, rates.source);
 
-  // A batch charges admission for its aggregate peak: under the fused
-  // schedules every member's C stays resident.
-  core::BatchPlan bp;
-  if (r.batch > 1) bp = core::plan_batch(p, nominal, r.tile_l, r.batch, rates);
-  const double batch_need = r.batch > 1 ? bp.total_need_bytes : 0.0;
-
-  // Unconstrained plan: what the Thm 5.2 order picks on the machine
-  // this tenant could ever have. Failing here — or a batch whose peak
-  // exceeds it — means the request can never run: Rejected.
-  core::Plan full;
-  bool never_fits = batch_need > idle_bytes;
-  std::string never_why =
-      never_fits ? "the batch's aggregate peak exceeds it" : "";
-  if (!never_fits) {
-    try {
-      full = core::plan_fusion(n, s, idle_elems);
-    } catch (const Error& e) {
-      never_fits = true;
-      never_why = e.what();
-    }
-  }
-  if (never_fits) {
+  // Whether a cap on idle_bytes is the quota's rather than the machine's.
+  const bool quota_cap = quota_active && idle_bytes < total_bytes;
+  auto reject = [&](const std::string& why, bool quota_bound) {
     rsp.admission = Admission::Rejected;
-    const bool quota_bound = quota_active && idle_bytes < total_bytes;
     rsp.error = (quota_bound ? std::string("exceeds the tenant quota: ")
                              : std::string("exceeds the idle machine: ")) +
-                never_why;
+                why;
     reg_->add(reg_->counter("serve.rejected"), 0, 1);
     if (quota_bound) reg_->add(reg_->counter("serve.quota_rejected"), 0, 1);
     return rsp;
+  };
+
+  // Unconstrained plan: what the Thm 5.2 order picks on the machine
+  // this tenant could ever have. Failing here means the request can
+  // never run: Rejected.
+  core::Plan full;
+  try {
+    full = core::plan_fusion(n, s, idle_elems);
+  } catch (const Error& e) {
+    return reject(e.what(), quota_cap);
   }
+
+  // The chain a verdict runs must fit every rank of the idle machine
+  // (core::check_capacity). That depends on the request alone, so each
+  // fingerprint checks each chain once.
+  auto capacity = [&](core::Chain chain) -> const core::CapacityCheck& {
+    const auto k = util::fnv1a_u64(static_cast<std::uint64_t>(chain), key);
+    if (!capacity_checks_.contains(k)) {
+      core::ParOptions o;
+      o.tile = r.tile;
+      o.tile_l = r.tile_l;
+      capacity_checks_[k] = core::check_capacity(
+          p, chain, r.batch, o, core::CapacityView::idle(nominal));
+    }
+    return capacity_checks_.at(k);
+  };
+  const core::CapacityCheck& fit = capacity(chain_for(full.selected));
+  if (!fit.fits) return reject(core::to_string(fit), false);
+  // A batch reserves its chain's aggregate peak: under fused-inner
+  // every member's C stays resident.
+  double batch_need = r.batch > 1 ? fit.aggregate_peak_bytes : 0.0;
+  if (batch_need > idle_bytes)
+    return reject("the batch's aggregate peak exceeds it", quota_cap);
 
   // Constrained plan: the same ladder against what is actually free
   // for this tenant. A downgrade is a Degraded admission; not even
@@ -318,6 +338,14 @@ Response TransformService::admit_and_run(const Request& r, bool from_queue) {
     } catch (const Error&) {
       fits = false;
     }
+  }
+  // A downgrade to op1/2/3/4 runs the unfused chain, which must fit the
+  // idle machine as well; if it does not, the request waits for a
+  // release that restores the undegraded verdict.
+  if (fits && chain_for(now.selected) != chain_for(full.selected)) {
+    const core::CapacityCheck& alt = capacity(chain_for(now.selected));
+    if (r.batch > 1) batch_need = alt.aggregate_peak_bytes;
+    fits = alt.fits && batch_need <= avail_bytes;
   }
   if (!fits) {
     if (from_queue || queue_.size() >= opt_.queue_depth) {
@@ -357,7 +385,6 @@ Response TransformService::admit_and_run(const Request& r, bool from_queue) {
   // admission ladder above always runs (it depends on live
   // reservations); the cache is what lets a warm request skip the
   // cluster re-plan and the per-phase DES.
-  const std::uint64_t key = fingerprint(r, rates.source);
   auto it = cache_.find(key);
   rsp.cache_hit = it != cache_.end();
   reg_->add(reg_->counter(rsp.cache_hit ? "serve.cache_hits"
@@ -367,12 +394,10 @@ Response TransformService::admit_and_run(const Request& r, bool from_queue) {
     CacheEntry fresh;
     fresh.rates = rates;
     fresh.plan = core::plan_for_cluster(p, nominal, r.tile_l, rates);
-    fresh.fusion = bounds::to_string(now.selected);
-    fresh.batch_plan = bp;
     it = cache_.emplace(key, std::move(fresh)).first;
   }
   CacheEntry& entry = it->second;
-  entry.need_bytes = std::max(selected_need_bytes(now), batch_need);
+  const double need_bytes = std::max(selected_need_bytes(now), batch_need);
   rsp.rate_source = entry.rates.source;
   rsp.est_seconds = now.selected == bounds::FusionChoice::Unfused
                         ? entry.plan.est_seconds_unfused
@@ -381,9 +406,12 @@ Response TransformService::admit_and_run(const Request& r, bool from_queue) {
     reg_->add(reg_->counter("serve.batch_requests"), 0, 1);
     reg_->add(reg_->counter("serve.batch_members"), 0,
              static_cast<double>(r.batch));
-    // The planner's amortized estimate, upgraded to the bench-measured
-    // batch throughput when the cost table carries a bucket.
-    rsp.est_seconds = bp.est_seconds_batched;
+    // The planner's amortized estimate for the chain the batch runs,
+    // upgraded to the bench-measured batch throughput when the cost
+    // table carries a bucket.
+    rsp.est_seconds = core::plan_batch(p, nominal, r.batch,
+                                       chain_for(now.selected), rates)
+                          .est_seconds_batched;
     if (const double tps = oracle_.batch_transforms_per_s(r.batch);
         tps > 0)
       rsp.est_seconds = static_cast<double>(r.batch) / tps;
@@ -391,9 +419,9 @@ Response TransformService::admit_and_run(const Request& r, bool from_queue) {
 
   if (r.plan_only) {
     rsp.ticket = next_ticket_++;
-    holds_.push_back({rsp.ticket, r, entry.need_bytes});
-    reserved_bytes_ += entry.need_bytes;
-    tenant_reserved_[r.tenant] += entry.need_bytes;
+    holds_.push_back({rsp.ticket, r, need_bytes});
+    reserved_bytes_ += need_bytes;
+    tenant_reserved_[r.tenant] += need_bytes;
     return rsp;
   }
   return run(r, entry, std::move(rsp));
@@ -417,32 +445,24 @@ Response TransformService::run(const Request& r, CacheEntry& entry,
   const bool unfused =
       rsp.fusion == bounds::to_string(bounds::FusionChoice::Unfused);
   rsp.balance = r.balance;
-  if (r.batch > 1) {
-    // Shared-basis batch: fill A once, run every member's chain. The
-    // response checksum is the FNV fold of the member checksums, so a
-    // client (or the replay gate) can reproduce it from solo runs.
-    const auto member_b = core::batch_member_bs(p, r.batch);
-    const core::BatchParResult res =
-        unfused ? core::batched_unfused_par_transform(p, member_b, cl, o)
-                : core::batched_fused_inner_par_transform(p, member_b, cl,
-                                                          o);
-    rsp.sim_seconds = res.stats.sim_time;
-    if (r.real) {
-      std::uint64_t h = util::kFnvOffsetBasis;
-      for (const auto& c : res.c) {
-        if (!c) continue;
-        const double cs = result_checksum(*c);
-        h = util::fnv1a_bytes(&cs, sizeof cs, h);
-      }
-      rsp.result_checksum =
-          static_cast<double>((h >> 32) ^ (h & 0xffffffffull));
+  // A solo request is the batch of one. A batch fills A once and runs
+  // every member's chain; its response checksum is the FNV fold of the
+  // member checksums, so a client (or the replay gate) can reproduce it
+  // from solo runs.
+  const auto member_b = core::batch_member_bs(p, r.batch);
+  const core::BatchParResult res =
+      unfused ? core::batched_unfused_par_transform(p, member_b, cl, o)
+              : core::batched_fused_inner_par_transform(p, member_b, cl, o);
+  rsp.sim_seconds = res.stats.sim_time;
+  if (r.real && r.batch == 1) {
+    rsp.result_checksum = result_checksum(*res.c.front());
+  } else if (r.real) {
+    std::uint64_t h = util::kFnvOffsetBasis;
+    for (const auto& c : res.c) {
+      const double cs = result_checksum(*c);
+      h = util::fnv1a_bytes(&cs, sizeof cs, h);
     }
-  } else {
-    const core::ParResult res =
-        unfused ? core::unfused_par_transform(p, cl, o)
-                : core::fused_inner_par_transform(p, cl, o);
-    rsp.sim_seconds = res.stats.sim_time;
-    if (r.real && res.c) rsp.result_checksum = result_checksum(*res.c);
+    rsp.result_checksum = static_cast<double>((h >> 32) ^ (h & 0xffffffffull));
   }
   reg_->add(reg_->counter("serve.executed"), 0, 1);
   reg_->add(reg_->counter("serve.des_skips"), 0,

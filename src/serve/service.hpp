@@ -174,11 +174,6 @@ class TransformService {
     core::ClusterPlan plan;
     core::PlanRates rates;
     core::BalanceCache balance_memo;
-    double need_bytes = 0;
-    std::string fusion;
-    /// Amortization plan when the fingerprinted request is a batch
-    /// (Request::batch > 1); n_members == 1 otherwise.
-    core::BatchPlan batch_plan;
   };
 
   struct Ticketed {
@@ -200,6 +195,9 @@ class TransformService {
   std::unique_ptr<obs::MetricsRegistry> reg_ =
       std::make_unique<obs::MetricsRegistry>(1);
   std::unordered_map<std::uint64_t, CacheEntry> cache_;
+  /// core::check_capacity verdicts on the idle machine, per fingerprint
+  /// and chain.
+  std::unordered_map<std::uint64_t, core::CapacityCheck> capacity_checks_;
   std::deque<Ticketed> queue_;
   std::vector<Ticketed> holds_;
   double reserved_bytes_ = 0;

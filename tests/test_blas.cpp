@@ -217,21 +217,21 @@ TEST(GemmProperty, RandomizedAgainstReference) {
 // results are bit-identical run-to-run and across thread counts (the
 // lanes split only the M dimension; every C element accumulates its
 // k-products in the same order no matter how many threads run). This
-// holds for the vectorized kernel and for the scalar kernel that
-// FOURINDEX_DETERMINISTIC=1 pins.
+// holds for the dispatched vector kernel and for the scalar one.
 TEST(GemmDeterminism, BitIdenticalAcrossThreadCounts) {
   const std::size_t n = 96;  // above the small-problem cutoff
   auto a = random_vec(n * n, 11);
   auto b = random_vec(n * n, 22);
   const auto c_init = random_vec(n * n, 33);
   const auto base = fit::blas::gemm_config();
-  for (const bool deterministic : {false, true}) {
+  for (const fit::blas::IsaLevel isa :
+       {base.isa, fit::blas::IsaLevel::Scalar}) {
     std::vector<double> first;
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                       std::size_t{4}}) {
       auto cfg = base;
       cfg.threads = threads;
-      cfg.deterministic = deterministic;
+      cfg.isa = isa;
       fit::blas::set_gemm_config(cfg);
       for (int run = 0; run < 2; ++run) {
         auto c = c_init;
@@ -243,7 +243,7 @@ TEST(GemmDeterminism, BitIdenticalAcrossThreadCounts) {
           ASSERT_EQ(0, std::memcmp(first.data(), c.data(),
                                    c.size() * sizeof(double)))
               << "bits differ: threads=" << threads << " run=" << run
-              << " deterministic=" << deterministic;
+              << " isa=" << fit::blas::isa_name(isa);
         }
       }
     }

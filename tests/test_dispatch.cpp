@@ -2,8 +2,7 @@
 // pointer present at every forced level), the FOURINDEX_CPU resolution
 // rules (strict parse, loud clamp to detected features), and the
 // cross-level reproducibility contract — every ISA level bit-matches
-// the scalar reference on randomized GemmProperty-style cases,
-// including under FOURINDEX_DETERMINISTIC.
+// the scalar reference on randomized GemmProperty-style cases.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -142,8 +141,7 @@ TEST(Dispatch, SetGemmConfigClampsIsaToDetected) {
 // The core contract: every runnable level produces bit-identical
 // results to the scalar level on randomized shapes spanning the
 // micro-tile edge cases, all Trans combinations, padded strides and
-// the alpha/beta grid — and FOURINDEX_DETERMINISTIC routes through
-// the same scalar table entry, so it bit-matches too.
+// the alpha/beta grid.
 TEST(DispatchProperty, AllLevelsBitMatchScalarReference) {
   const auto base = fit::blas::gemm_config();
   const IsaLevel widest = fit::blas::detected_isa();
@@ -176,28 +174,23 @@ TEST(DispatchProperty, AllLevelsBitMatchScalarReference) {
     {
       auto cfg = base;
       cfg.isa = IsaLevel::Scalar;
-      cfg.deterministic = false;
       fit::blas::set_gemm_config(cfg);
       fit::blas::gemm(ta, tb, m, n, k, alpha, a.data(), lda, b.data(), ldb,
                       beta, c_scalar.data(), ldc);
     }
 
     for (int i = 0; i <= static_cast<int>(widest); ++i) {
-      for (const bool deterministic : {false, true}) {
-        auto cfg = base;
-        cfg.isa = level_of(i);
-        cfg.deterministic = deterministic;
-        fit::blas::set_gemm_config(cfg);
-        std::vector<double> c = c_init;
-        fit::blas::gemm(ta, tb, m, n, k, alpha, a.data(), lda, b.data(),
-                        ldb, beta, c.data(), ldc);
-        ASSERT_EQ(0, std::memcmp(c_scalar.data(), c.data(),
-                                 c.size() * sizeof(double)))
-            << "level=" << fit::blas::isa_name(level_of(i))
-            << " deterministic=" << deterministic << " m=" << m << " n=" << n
-            << " k=" << k << " ta=" << int(ta) << " tb=" << int(tb)
-            << " alpha=" << alpha << " beta=" << beta;
-      }
+      auto cfg = base;
+      cfg.isa = level_of(i);
+      fit::blas::set_gemm_config(cfg);
+      std::vector<double> c = c_init;
+      fit::blas::gemm(ta, tb, m, n, k, alpha, a.data(), lda, b.data(), ldb,
+                      beta, c.data(), ldc);
+      ASSERT_EQ(0, std::memcmp(c_scalar.data(), c.data(),
+                               c.size() * sizeof(double)))
+          << "level=" << fit::blas::isa_name(level_of(i)) << " m=" << m
+          << " n=" << n << " k=" << k << " ta=" << int(ta)
+          << " tb=" << int(tb) << " alpha=" << alpha << " beta=" << beta;
     }
   }
   fit::blas::set_gemm_config(base);
@@ -338,7 +331,6 @@ TEST(DispatchBatched, BitMatchesLoopOfGemmCalls) {
                   cfg.nc = bl.nc;
                   cfg.ksplit = bl.ksplit;
                   cfg.isa = level_of(lvl);
-                  cfg.deterministic = false;
                   cfg.threads = threads;
                   fit::blas::set_gemm_config(cfg);
                   std::vector<double> want = c0;
@@ -377,7 +369,6 @@ TEST(Dispatch, GemmReportsIsaMetric) {
   const auto base = fit::blas::gemm_config();
   auto cfg = base;
   cfg.isa = IsaLevel::Scalar;
-  cfg.deterministic = false;
   fit::blas::set_gemm_config(cfg);
   const std::size_t n = 48;
   const auto a = random_vec(n * n, 1);
@@ -386,17 +377,6 @@ TEST(Dispatch, GemmReportsIsaMetric) {
   fit::blas::gemm(Trans::No, Trans::No, n, n, n, 1.0, a.data(), n, b.data(),
                   n, 0.0, c.data(), n);
   auto& reg = fit::blas::gemm_metrics();
-  EXPECT_EQ(reg.value("gemm.isa", 0),
-            static_cast<double>(IsaLevel::Scalar));
-
-  // FOURINDEX_DETERMINISTIC routes through the same table slot: the
-  // reported level is Scalar even when the config would dispatch
-  // wider.
-  cfg = base;
-  cfg.deterministic = true;
-  fit::blas::set_gemm_config(cfg);
-  fit::blas::gemm(Trans::No, Trans::No, n, n, n, 1.0, a.data(), n, b.data(),
-                  n, 0.0, c.data(), n);
   EXPECT_EQ(reg.value("gemm.isa", 0),
             static_cast<double>(IsaLevel::Scalar));
   fit::blas::set_gemm_config(base);

@@ -345,7 +345,9 @@ TEST(Replan, ResilientTransformDowngradesOnCapacityShrink) {
   const double full = 1.25 * pair_peak_bytes;  // unfused fits initially
   MachineConfig m = fault_machine(2, 1, full / 2.0, /*disk_bps=*/0);
   Cluster cl(m, ExecutionMode::Real);
-  ASSERT_TRUE(core::unfused_fits(p, cl));
+  ASSERT_TRUE(core::check_capacity(p, core::Chain::Unfused, 1, opt,
+                                   core::CapacityView::live(cl))
+                  .fits);
 
   FaultInjector inj(2);
   FaultEvent shrink;
@@ -812,7 +814,7 @@ TEST(CheckpointStore, RotOfASharedCarriedCopyWalksBackOneEpoch) {
                                       static_cast<std::size_t>(-1),
                                       /*depth=*/1);
   cl.kill_rank(victim);
-  cl.checkpoints()->restore_rank(victim);
+  cl.checkpoints()->restore_domain(std::span(&victim, 1));
 
   const auto& reg = cl.metrics();
   EXPECT_EQ(reg.sum("fault.ckpt_corrupts"), 4.0);  // every carried copy

@@ -59,7 +59,7 @@ TEST(Integration, BaselinesAgreeWithHybridNumerically) {
   o.tile_l = 2;
 
   Cluster c1(machine, ExecutionMode::Real);
-  auto hybrid = core::hybrid_transform(p, c1, o);
+  auto hybrid = core::resilient_transform(p, c1, o);
   Cluster c2(machine, ExecutionMode::Real);
   auto unf = core::nwchem_unfused_par_transform(p, c2, o);
   Cluster c3(machine, ExecutionMode::Real);
@@ -88,8 +88,8 @@ TEST(Integration, Figure2ShapeAtMiniatureScale) {
   o.gather_result = false;
 
   Cluster cl_t(tight, ExecutionMode::Simulate);
-  auto hybrid_t = core::hybrid_transform(p, cl_t, o);
-  EXPECT_EQ(hybrid_t.stats.schedule, "hybrid(fused-inner)");
+  auto hybrid_t = core::resilient_transform(p, cl_t, o);
+  EXPECT_EQ(hybrid_t.stats.schedule, "resilient(fused-inner)");
 
   Cluster cl_u(tight, ExecutionMode::Simulate);
   EXPECT_THROW(core::nwchem_unfused_par_transform(p, cl_u, o),
@@ -101,15 +101,16 @@ TEST(Integration, Figure2ShapeAtMiniatureScale) {
   runtime::MachineConfig ample = tight;
   ample.mem_per_node_bytes *= 8;
   Cluster cl_a(ample, ExecutionMode::Simulate);
-  auto hybrid_a = core::hybrid_transform(p, cl_a, o);
-  EXPECT_EQ(hybrid_a.stats.schedule, "hybrid(unfused)");
+  auto hybrid_a = core::resilient_transform(p, cl_a, o);
+  EXPECT_EQ(hybrid_a.stats.schedule, "resilient(unfused)");
   Cluster cl_n(ample, ExecutionMode::Simulate);
   auto unf = core::nwchem_unfused_par_transform(p, cl_n, o);
   EXPECT_NEAR(hybrid_a.stats.sim_time / unf.stats.sim_time, 1.0, 0.25);
 }
 
 TEST(Integration, PlannerDecisionMatchesRuntimeBehaviour) {
-  // What plan_for_cluster predicts must be what hybrid_transform does.
+  // What check_capacity predicts must be what the unfused chain does
+  // when run, and what resilient_transform picks.
   auto mol = mini_molecule(24);
   auto p = core::make_problem(mol);
   for (double scale : {0.7, 4.0}) {
@@ -119,17 +120,27 @@ TEST(Integration, PlannerDecisionMatchesRuntimeBehaviour) {
     m.ranks_per_node = 2;
     m.mem_per_node_bytes =
         scale * 8.0 * double(p.sizes().unfused_peak()) / 4.0;
-    auto plan = core::plan_for_cluster(p, m, 4);
     core::ParOptions o;
     o.tile = 5;
     o.tile_l = 4;
     o.gather_result = false;
-    Cluster cl(m, ExecutionMode::Simulate);
-    auto r = core::hybrid_transform(p, cl, o);
-    if (plan.use_fused_outer)
-      EXPECT_EQ(r.stats.schedule, "hybrid(fused-inner)") << scale;
+    const bool fits = core::check_capacity(p, core::Chain::Unfused, 1, o,
+                                           core::CapacityView::idle(m))
+                          .fits;
+    EXPECT_EQ(fits, scale > 1.0) << scale;
+    Cluster cu(m, ExecutionMode::Simulate);
+    if (fits)
+      EXPECT_NO_THROW(core::unfused_par_transform(p, cu, o)) << scale;
     else
-      EXPECT_EQ(r.stats.schedule, "hybrid(unfused)") << scale;
+      EXPECT_THROW(core::unfused_par_transform(p, cu, o),
+                   fit::OutOfMemoryError)
+          << scale;
+    Cluster cl(m, ExecutionMode::Simulate);
+    auto r = core::resilient_transform(p, cl, o);
+    if (!fits)
+      EXPECT_EQ(r.stats.schedule, "resilient(fused-inner)") << scale;
+    else
+      EXPECT_EQ(r.stats.schedule, "resilient(unfused)") << scale;
   }
 }
 
@@ -222,7 +233,7 @@ TEST(Integration, SimulationIsBitDeterministic) {
   for (int run = 0; run < 3; ++run) {
     auto p = core::make_problem(mol);
     Cluster cl(runtime::system_a(2), ExecutionMode::Simulate);
-    auto r = core::hybrid_transform(p, cl, o);
+    auto r = core::resilient_transform(p, cl, o);
     if (run == 0) {
       first = r.stats;
       continue;
@@ -248,12 +259,16 @@ TEST(Integration, AllPaperMoleculesPlanAndSimulate) {
     o.tile = 8;
     o.tile_l = 4;
     o.gather_result = false;
+    const bool unfused_fits =
+        core::check_capacity(p, core::Chain::Unfused, 1, o,
+                             core::CapacityView::idle(machine))
+            .fits;
     Cluster cl(machine, ExecutionMode::Simulate);
-    auto r = core::hybrid_transform(p, cl, o);
+    auto r = core::resilient_transform(p, cl, o);
     EXPECT_GT(r.stats.sim_time, 0.0) << mol.name;
-    // The plan's fuse decision matches what the hybrid executed.
-    const bool fused = r.stats.schedule == "hybrid(fused-inner)";
-    EXPECT_EQ(fused, plan.use_fused_outer) << mol.name;
+    // The check's fuse decision matches what the hybrid executed.
+    const bool fused = r.stats.schedule == "resilient(fused-inner)";
+    EXPECT_EQ(fused, !unfused_fits) << mol.name;
     // Shell-Mixed is the paper's capability case: must have fused.
     if (mol.name == "Shell-Mixed") {
       EXPECT_TRUE(fused);

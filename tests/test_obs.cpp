@@ -252,7 +252,7 @@ TEST(ObsCluster, SimulateRunExportsValidTrace) {
   o.gather_result = false;
 
   runtime::Cluster cl(machine, runtime::ExecutionMode::Simulate);
-  auto r = core::hybrid_transform(p, cl, o);
+  auto r = core::resilient_transform(p, cl, o);
   EXPECT_GT(r.stats.sim_time, 0);
   EXPECT_GT(cl.timeline().n_spans(), 0u);
 
@@ -318,7 +318,7 @@ TEST(ObsCluster, RegistryBackedTotalsMatchParStats) {
   o.gather_result = false;
 
   runtime::Cluster cl(machine, runtime::ExecutionMode::Simulate);
-  auto r = core::hybrid_transform(p, cl, o);
+  auto r = core::resilient_transform(p, cl, o);
 
   const auto totals = cl.totals();
   EXPECT_EQ(totals.remote_bytes, cl.metrics().sum("comm.remote_bytes"));

@@ -3,6 +3,7 @@
 #include "chem/molecule.hpp"
 #include "core/planner.hpp"
 #include "core/problem.hpp"
+#include "core/schedules_par.hpp"
 #include "core/transform.hpp"
 #include "runtime/machine.hpp"
 
@@ -50,16 +51,27 @@ TEST(Planner, RenderedPlanMentionsSelection) {
   EXPECT_NE(s.find("op1234"), std::string::npos);
 }
 
+// Per-rank capacity check of `chain` over `members` transforms of p on
+// an idle machine m, at tile 8 / tile_l 4.
+core::CapacityCheck idle_check(const core::Problem& p, core::Chain chain,
+                               std::size_t members,
+                               const runtime::MachineConfig& m) {
+  core::ParOptions o;
+  o.tile = 8;
+  o.tile_l = 4;
+  return core::check_capacity(p, chain, members, o,
+                              core::CapacityView::idle(m));
+}
+
 TEST(Planner, ClusterPlanHybridDecision) {
   auto p = core::make_problem(chem::custom_molecule("plan", 46, 8, 1));
   // Big machine: unfused fits.
   auto big = runtime::system_b(18);
-  auto cp_big = core::plan_for_cluster(p, big, 4);
-  EXPECT_FALSE(cp_big.use_fused_outer);
+  EXPECT_TRUE(idle_check(p, core::Chain::Unfused, 1, big).fits);
   // Small machine: must fuse.
   auto small = runtime::system_a(2);
+  EXPECT_FALSE(idle_check(p, core::Chain::Unfused, 1, small).fits);
   auto cp_small = core::plan_for_cluster(p, small, 4);
-  EXPECT_TRUE(cp_small.use_fused_outer);
   // Fused always admits at least as large a problem.
   EXPECT_GE(cp_small.max_n_fused, cp_small.max_n_unfused);
   EXPECT_LT(cp_small.aggregate_need_fused_bytes,
@@ -69,9 +81,9 @@ TEST(Planner, ClusterPlanHybridDecision) {
 TEST(Planner, BatchPlanAmortizesSharedWork) {
   auto p = core::make_problem(chem::custom_molecule("plan", 46, 8, 1));
   auto big = runtime::system_b(18);
-  auto bp = core::plan_batch(p, big, 4, 6);
+  auto bp = core::plan_batch(p, big, 6, core::Chain::Unfused);
   EXPECT_EQ(bp.n_members, 6u);
-  EXPECT_FALSE(bp.use_fused_outer);
+  EXPECT_TRUE(idle_check(p, core::Chain::Unfused, 6, big).fits);
   // The shared A fill is paid once, so batched strictly beats running
   // the six transforms back to back, and the advantage is exactly the
   // 5 re-derivations of A.
@@ -81,25 +93,28 @@ TEST(Planner, BatchPlanAmortizesSharedWork) {
               1e-9 * bp.est_seconds_sequential);
   // Unfused batch: one member's chain in flight at a time, so the peak
   // does not grow with the member count.
-  auto bp2 = core::plan_batch(p, big, 4, 12);
-  EXPECT_DOUBLE_EQ(bp2.total_need_bytes, bp.total_need_bytes);
+  EXPECT_DOUBLE_EQ(
+      idle_check(p, core::Chain::Unfused, 12, big).aggregate_peak_bytes,
+      idle_check(p, core::Chain::Unfused, 6, big).aggregate_peak_bytes);
 }
 
 TEST(Planner, BatchPlanFusedPeakGrowsPerMember) {
   auto p = core::make_problem(chem::custom_molecule("plan", 46, 8, 1));
   auto small = runtime::system_a(2);
-  auto bp4 = core::plan_batch(p, small, 4, 4);
-  auto bp8 = core::plan_batch(p, small, 4, 8);
-  EXPECT_TRUE(bp4.use_fused_outer);
+  EXPECT_FALSE(idle_check(p, core::Chain::Unfused, 4, small).fits);
   // Every member's C is resident under the fused batch, so the peak
   // charge scales with the member count.
-  EXPECT_NEAR(bp8.total_need_bytes - bp4.total_need_bytes,
-              4.0 * bp4.per_member_bytes, 1.0);
+  auto peak = [&](std::size_t members) {
+    return idle_check(p, core::Chain::FusedInner, members, small)
+        .aggregate_peak_bytes;
+  };
+  EXPECT_NEAR(peak(8) - peak(4), 4.0 * (peak(5) - peak(4)), 1.0);
+  EXPECT_GT(peak(5), peak(4));
   // Measured rates propagate into the plan's label.
   core::PlanRates rates;
   rates.source = "measured";
   rates.flops_per_rank = 2e9;
-  auto bpm = core::plan_batch(p, small, 4, 4, rates);
+  auto bpm = core::plan_batch(p, small, 4, core::Chain::FusedInner, rates);
   EXPECT_EQ(bpm.rate_source, "measured");
 }
 

@@ -310,7 +310,8 @@ TEST(GlobalArray, ReassignOwnerMovesTilesToSurvivors) {
   EXPECT_GT(dead_used, 0.0);
 
   const std::vector<std::size_t> targets = {0, 1, 3};
-  auto moved = a.reassign_owner(2, targets);
+  const std::size_t dead[] = {2};
+  auto moved = a.reassign_owners(dead, targets);
   ASSERT_EQ(moved.size(), 1u);
   EXPECT_EQ(moved[0], dead_tile);
   EXPECT_TRUE(a.tiles_of(2).empty());

@@ -1,18 +1,22 @@
 // Distributed schedules (Listings 4, 8, 10 and the hybrid) validated
 // in Real mode against the sequential reference, plus checks of the
-// memory/communication properties the paper claims for each.
+// memory/communication properties the paper claims for each and of
+// the per-rank capacity check that decides between them.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <string>
 #include <tuple>
 
 #include "chem/molecule.hpp"
 #include "core/problem.hpp"
 #include "core/schedules_par.hpp"
 #include "core/schedules_seq.hpp"
+#include "core/transform.hpp"
 #include "runtime/machine.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -93,7 +97,7 @@ TEST_P(ParSchedules, HybridMatchesReference) {
   auto p = make();
   auto ref = core::reference_transform(p);
   auto cl = cluster();
-  auto r = core::hybrid_transform(p, cl, options());
+  auto r = core::resilient_transform(p, cl, options());
   ASSERT_TRUE(r.c.has_value());
   EXPECT_LT(r.c->max_abs_diff(ref), 1e-9);
 }
@@ -344,13 +348,13 @@ TEST(ParProperties, HybridPicksByMemory) {
   o.gather_result = false;
   // Plenty of memory: hybrid must choose unfused.
   Cluster big(test_machine(2, 2, 64e6), ExecutionMode::Simulate);
-  auto rb = core::hybrid_transform(p, big, o);
-  EXPECT_EQ(rb.stats.schedule, "hybrid(unfused)");
+  auto rb = core::resilient_transform(p, big, o);
+  EXPECT_EQ(rb.stats.schedule, "resilient(unfused)");
   // Tight memory: hybrid must choose the fused-inner schedule.
   const double tight = 8.0 * 4.0 * static_cast<double>(sz.c) / 2.0;
   Cluster small(test_machine(2, 2, tight), ExecutionMode::Simulate);
-  auto rs = core::hybrid_transform(p, small, o);
-  EXPECT_EQ(rs.stats.schedule, "hybrid(fused-inner)");
+  auto rs = core::resilient_transform(p, small, o);
+  EXPECT_EQ(rs.stats.schedule, "resilient(fused-inner)");
 }
 
 TEST(ParProperties, FusedFlopOverheadIsAboutOnePointFive) {
@@ -671,3 +675,133 @@ TEST(ParProperties, DistributedCStorageTracksExactPackedSize) {
     EXPECT_LT(r.stats.peak_global_bytes, 2.2 * exact_c + slices) << s;
   }
 }
+
+// ---- The per-rank capacity check against real runs --------------------
+
+namespace {
+
+// check_capacity must predict exactly what a run does: over random
+// (n, s, system, nodes, tile, tile_l, batch, chain) tuples its verdict
+// equals whether a Simulate run of that chain completes with no
+// out-of-memory error and no spilled tile. Each machine keeps its
+// family's ranks per node, with memory scaled around the problem's
+// packed footprint so that both outcomes are common; every other
+// machine has a file system, where a tile that does not fit spills
+// instead of failing.
+TEST(CapacityCheck, VerdictMatchesSimulateRuns) {
+  SplitMix64 g(20261018);
+  std::size_t runs = 0, fits = 0;
+  for (int i = 0; i < 240; ++i) {
+    const std::size_t n = 8 + g.next_below(21);
+    const unsigned s = 1u << g.next_below(3);
+    const std::size_t nodes = 1 + g.next_below(3);
+    const char family = "ABC"[g.next_below(3)];
+    MachineConfig m = family == 'A'   ? runtime::system_a(nodes)
+                      : family == 'B' ? runtime::system_b(nodes)
+                                      : runtime::system_c(nodes);
+    const auto p = core::make_problem(
+        chem::custom_molecule("cap", n, s, 1000 + static_cast<unsigned>(i)));
+    const auto sz = p.sizes();
+    const double footprint = 8.0 * double(sz.unfused_peak() + sz.c);
+    m.mem_per_node_bytes =
+        footprint * (0.1 + 2.9 * g.next_double()) / double(nodes);
+    if (i % 2 == 1) m.disk_bandwidth_bps = 1e9;
+    core::ParOptions o;
+    o.tile = 3 + g.next_below(6);
+    o.tile_l = 1 + g.next_below(8);
+    o.gather_result = false;
+    const std::size_t batch = 1 + g.next_below(3);
+    const auto chain =
+        g.next_below(2) == 0 ? core::Chain::Unfused : core::Chain::FusedInner;
+
+    const auto want = core::check_capacity(p, chain, batch, o,
+                                           core::CapacityView::idle(m));
+    Cluster cl(m, ExecutionMode::Simulate);
+    const auto bs = core::batch_member_bs(p, batch);
+    bool ran = true;
+    try {
+      if (chain == core::Chain::Unfused)
+        core::batched_unfused_par_transform(p, bs, cl, o);
+      else
+        core::batched_fused_inner_par_transform(p, bs, cl, o);
+    } catch (const OutOfMemoryError&) {
+      ran = false;
+    }
+    ran = ran && cl.disk_peak() == 0;
+    const std::string what =
+        "case " + std::to_string(i) + ": n=" + std::to_string(n) +
+        " s=" + std::to_string(s) + " " + m.name + "x" +
+        std::to_string(nodes) + " tile=" + std::to_string(o.tile) +
+        " tile_l=" + std::to_string(o.tile_l) +
+        " batch=" + std::to_string(batch) +
+        (chain == core::Chain::Unfused ? " unfused" : " fused-inner") +
+        (m.disk_bandwidth_bps > 0 ? " (disk)" : "") + ": " +
+        core::to_string(want);
+    ASSERT_EQ(want.fits, ran) << what;
+    if (ran) {
+      // A run that fits peaks exactly where the check said it would.
+      EXPECT_EQ(cl.global_peak(), want.aggregate_peak_bytes) << what;
+      EXPECT_EQ(cl.memory(want.busiest_rank).peak(),
+                want.busiest_peak_bytes)
+          << what;
+    }
+    runs += 1;
+    fits += want.fits ? 1 : 0;
+  }
+  // Both outcomes are well represented.
+  EXPECT_GE(fits, runs / 5);
+  EXPECT_GE(runs - fits, runs / 5);
+}
+
+// The Sec. 7.4 switch at 1.10x the unfused footprint, the switch
+// bench's problem: an aggregate formula with a 10% slack says the
+// unfused chain fits, but a rank's share of its tiles does not. The
+// hybrid must see that and run fused-inner, neither failing nor
+// falling back mid-run.
+TEST(CapacityCheck, HybridRunsFusedInnerWhereOneRankCannotHoldUnfused) {
+  auto p = core::make_problem(chem::custom_molecule("hyb", 64, 8, 3));
+  const auto sz = p.sizes();
+  const double footprint = 8.0 * double(sz.unfused_peak() + sz.c);
+  MachineConfig m = test_machine(8, 4);
+  m.mem_per_node_bytes = 1.10 * footprint / 8.0;
+  core::ParOptions o;
+  o.tile = 8;
+  o.tile_l = 4;
+  o.gather_result = false;
+  const auto unfused = core::check_capacity(p, core::Chain::Unfused, 1, o,
+                                            core::CapacityView::idle(m));
+  EXPECT_FALSE(unfused.fits) << core::to_string(unfused);
+  EXPECT_LE(1.10 * footprint, m.aggregate_memory_bytes());
+
+  Cluster cl(m, ExecutionMode::Simulate);
+  const auto out = core::four_index_transform(
+      p, {core::Schedule::Hybrid, o}, &cl);
+  EXPECT_EQ(out.par.schedule, "resilient(fused-inner)");
+  const auto sums = cl.metrics().sums();
+  EXPECT_EQ(sums.contains("plan.replans") ? sums.at("plan.replans") : 0.0,
+            0.0);
+  EXPECT_NE(out.par.note.find("rank " +
+                              std::to_string(unfused.busiest_rank)),
+            std::string::npos)
+      << out.par.note;
+}
+
+// The check reads a cluster and writes nothing to it: no metric, no
+// timeline instant, no memory charge.
+TEST(CapacityCheck, LeavesTheClusterUntouched) {
+  auto p = core::make_problem(chem::custom_molecule("ro", 16, 2, 5));
+  Cluster cl(test_machine(2, 2), ExecutionMode::Simulate);
+  const auto names = cl.metrics().sums();
+  const std::size_t instants = cl.timeline().n_instants();
+  core::ParOptions o;
+  o.tile = 4;
+  for (auto chain : {core::Chain::Unfused, core::Chain::FusedInner})
+    core::check_capacity(p, chain, 2, o, core::CapacityView::live(cl));
+  EXPECT_EQ(cl.metrics().sums(), names);
+  EXPECT_EQ(cl.timeline().n_instants(), instants);
+  EXPECT_EQ(cl.global_peak(), 0.0);
+  for (std::size_t r = 0; r < cl.n_ranks(); ++r)
+    EXPECT_EQ(cl.memory(r).peak(), 0.0);
+}
+
+}  // namespace

@@ -9,12 +9,18 @@
 #include <thread>
 #include <vector>
 
+#include "chem/molecule.hpp"
+#include "core/problem.hpp"
+#include "core/schedules_par.hpp"
 #include "obs/json.hpp"
+#include "runtime/cluster.hpp"
+#include "runtime/machine.hpp"
 #include "serve/cost_oracle.hpp"
 #include "serve/cost_table.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -258,6 +264,89 @@ TEST(Admission, ProblemBeyondTheIdleMachineIsRejectedOutright) {
   EXPECT_NE(rsp.error.find("exceeds the idle machine"), std::string::npos);
   EXPECT_EQ(svc.queued(), 0u);
   EXPECT_EQ(svc.reserved_bytes(), 0.0);
+}
+
+// perfbench's known-defect request: a batch of two n = 32 transforms on
+// System A x 2. The request spells the irrep order "s", a key the
+// parser ignores, so s = 1. C is placed by pair row, so ranks 0-9 hold
+// both members' C, and rank 0 cannot also hold its share of the A_l
+// slices: the request must be rejected up front, naming the rank and
+// its bytes, rather than admitted to run out of memory.
+TEST(Admission, ChainBeyondOneRankOfTheIdleMachineIsRejected) {
+  const std::string line =
+      R"({"molecule":"custom","n":32,"s":4,"nodes":2,"tile":8,)"
+      R"("real":true,"batch":2)";
+  for (const std::string& l : {line + "}", line + R"(,"plan_only":true})"}) {
+    TransformService svc{CostOracle{}};
+    const Response rsp = svc.submit_line(l);
+    EXPECT_EQ(rsp.admission, Admission::Rejected) << l;
+    EXPECT_EQ(rsp.error.rfind("exceeds the idle machine: rank 0 peaks at ",
+                              0),
+              0u)
+        << rsp.error;
+    EXPECT_NE(rsp.error.find(" KB free"), std::string::npos) << rsp.error;
+    EXPECT_EQ(svc.reserved_bytes(), 0.0);
+    EXPECT_EQ(svc.queued(), 0u);
+    EXPECT_EQ(svc.metrics().sum("serve.errors"), 0.0);
+  }
+
+  // With the irrep order spelled out the fused-inner batch fits, and
+  // each member's result is its solo run's, bit for bit.
+  TransformService svc{CostOracle{}};
+  const Response ok = svc.submit_line(
+      R"({"molecule":"custom","n":32,"irrep_order":4,"nodes":2,"tile":8,)"
+      R"("real":true,"batch":2})");
+  ASSERT_EQ(ok.admission, Admission::Admitted) << ok.error;
+  EXPECT_NE(ok.result_checksum, 0.0);
+  const auto p = core::make_problem(chem::custom_molecule("serve", 32, 4));
+  core::ParOptions o;
+  o.tile = 8;
+  o.tile_l = 8;
+  const auto bs = core::batch_member_bs(p, 2);
+  runtime::Cluster cb(runtime::system_a(2), runtime::ExecutionMode::Real);
+  const auto batch = core::batched_fused_inner_par_transform(p, bs, cb, o);
+  for (std::size_t m = 0; m < bs.size(); ++m) {
+    auto pm = core::make_problem(p.molecule);
+    pm.b = bs[m];
+    runtime::Cluster cs(runtime::system_a(2), runtime::ExecutionMode::Real);
+    const auto solo = core::fused_inner_par_transform(pm, cs, o);
+    ASSERT_TRUE(batch.c[m] && solo.c);
+    EXPECT_EQ(batch.c[m]->max_abs_diff(*solo.c), 0.0) << "member " << m;
+  }
+}
+
+// No admitted or degraded request may run out of memory: a sweep of
+// small Real requests, many past what a rank of System A holds, gets
+// every answer but an error.
+TEST(Admission, SmallRealSweepNeverAnswersError) {
+  TransformService svc{CostOracle{}};
+  SplitMix64 g(19);
+  std::size_t executed = 0, rejected = 0;
+  for (int i = 0; i < 32; ++i) {
+    Request r;
+    r.molecule = "custom";
+    r.custom_n = 12 + g.next_below(25);
+    r.custom_s = 1u << g.next_below(3);
+    r.n_nodes = 1 + g.next_below(2);
+    r.tile = 4u << g.next_below(2);
+    r.tile_l = 4u << g.next_below(2);
+    r.batch = 1 + g.next_below(3);
+    r.real = true;
+    const Response rsp = svc.submit(r);
+    EXPECT_NE(rsp.admission, Admission::Error)
+        << "n=" << r.custom_n << " s=" << r.custom_s
+        << " nodes=" << r.n_nodes << " tile=" << r.tile
+        << " tile_l=" << r.tile_l << " batch=" << r.batch << ": "
+        << rsp.error;
+    if (rsp.admission == Admission::Admitted ||
+        rsp.admission == Admission::Degraded) {
+      EXPECT_NE(rsp.result_checksum, 0.0);
+      executed += 1;
+    }
+    rejected += rsp.admission == Admission::Rejected ? 1 : 0;
+  }
+  EXPECT_GT(executed, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 // ------------------------------------------------- batches and tenants

@@ -133,7 +133,7 @@ TEST(Threaded, HybridEndToEnd) {
   core::ParOptions o;
   o.tile = 4;
   o.tile_l = 4;
-  auto r = core::hybrid_transform(p, cl, o);
+  auto r = core::resilient_transform(p, cl, o);
   ASSERT_TRUE(r.c.has_value());
   EXPECT_LT(r.c->max_abs_diff(ref), 1e-9);
 }
