@@ -10,8 +10,9 @@
 // FOURINDEX_CPU=scalar/sse2/avx over this bench and gates that
 // gemm.n512.result_checksum is bit-identical across levels while
 // GFLOP/s is non-decreasing with ISA width. gemm.isa / gemm.isa_detected
-// record which kernel path actually ran. With FOURINDEX_BENCH_SMOKE=1
-// only the head-to-head section runs.
+// record which kernel path actually ran. The report also carries the
+// head-to-head as a table (reference, t1, t2, t4 and t4 ksplit4). With
+// FOURINDEX_BENCH_SMOKE=1 only the head-to-head section runs.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -29,6 +30,7 @@
 #include "blas/tune.hpp"
 #include "obs/bench_json.hpp"
 #include "serve/cost_table.hpp"
+#include "util/format.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -193,7 +195,7 @@ void head_to_head(fit::obs::BenchReport& report) {
   report.add_scalar("gemm.n512.reference_gflops", ref_gflops);
   std::printf("n=512 head-to-head: reference %.2f GFLOP/s\n", ref_gflops);
 
-  double t1 = 0.0, t4 = 0.0;
+  double t1 = 0.0, t2 = 0.0, t4 = 0.0, t4_ksplit = 0.0;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{4}}) {
     auto cfg = base;
@@ -210,6 +212,7 @@ void head_to_head(fit::obs::BenchReport& report) {
       // identical under every FOURINDEX_CPU level (isa-sweep gate).
       report.add_scalar("gemm.n512.result_checksum", result_checksum(c));
     }
+    if (threads == 2) t2 = t;
     if (threads == 4) t4 = t;
     if (threads != 1) {
       report.add_scalar("gemm.n512.gflops_t" + std::to_string(threads),
@@ -229,6 +232,7 @@ void head_to_head(fit::obs::BenchReport& report) {
     fit::blas::set_gemm_config(cfg);
     run_blocked();
     const double t = best_of(3, run_blocked);
+    t4_ksplit = t;
     report.add_scalar("gemm.n512.gflops_t4_ksplit4", flops / t / 1e9);
     report.add_scalar("gemm.n512.ksplit4_checksum", result_checksum(c));
     std::printf("n=512 head-to-head: engine t4 ksplit4 %.2f GFLOP/s\n",
@@ -271,6 +275,24 @@ void head_to_head(fit::obs::BenchReport& report) {
       "n=512 head-to-head: single-thread speedup vs reference %.2fx, "
       "4-lane efficiency %.0f%%\n",
       speedup, 100.0 * t1 / t4 / 4.0);
+
+  struct Row {
+    const char* driver;
+    const char* lanes;
+    double seconds;
+  };
+  const Row rows[] = {{"gemm_reference", "1", t_ref},
+                      {"engine", "1", t1},
+                      {"engine", "2", t2},
+                      {"engine", "4", t4},
+                      {"engine, ksplit 4", "4", t4_ksplit}};
+  fit::TextTable table({"driver", "lanes", "GFLOP/s"});
+  for (const Row& r : rows)
+    table.add_row(
+        {r.driver, r.lanes, fit::fmt_fixed(flops / r.seconds / 1e9, 2)});
+  const std::string title = "DGEMM head-to-head at n = 512 (best of reps)";
+  table.print(title);
+  report.add_table(title, table);
 
   // Engine counters (flops, pack_bytes, gemm.isa gauge, ...) for the
   // archived document.

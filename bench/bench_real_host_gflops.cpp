@@ -9,8 +9,9 @@
 // The reps of the four schedules interleave, and each schedule reports
 // its median rep, so a slow stretch of the host moves all four alike.
 // The GEMM engine runs on one lane; run the bench with
-// FOURINDEX_THREADS unset or 1 so the cluster executes its ranks on
-// one host thread too (the CPU clock counts every thread either way).
+// FOURINDEX_THREADS unset so these clusters execute their ranks on one
+// host thread too (the CPU clock counts every thread either way) and
+// the Simulate section below gets its two lanes.
 //
 // A second measurement times the integral fill alone on wall clocks:
 // every tile of the packed A grid (ti >= tj, tk >= tl) of the same
@@ -22,21 +23,43 @@
 // that writes shared state per element (an evaluation counter, say)
 // bounces a cache line between the lanes and reads below 1.
 //
+// A third measurement prices Simulate mode's bookkeeping: the
+// fused-inner transform of C60H20 on System B x2 at tile 4, with auto
+// balance and a warm BalanceCache (the service's path for a repeated
+// request), on a one-lane and on a two-lane cluster. Each rep runs both
+// sides, alternating which goes first, and reports two-lane CPU over
+// one-lane CPU: the modelled work is the same, so state the lanes share
+// per op (a lock, a counter, a cache line) reads above 1.
+//
 // Scalars: real.<schedule>.host_gflops for par_unfused, par_fused,
 // par_fused_inner and seq_unfused, real.<schedule>.gemm_calls (engine
-// calls per transform), real.par_fused_inner_vs_seq, and
-// real.fill.two_lane_speedup (median over the reps). CI's bench-smoke
-// job gates both ratios (>= 0.5 and >= 1.3). FOURINDEX_BENCH_SMOKE=1
-// runs fewer reps.
+// calls per transform), real.par_fused_inner_vs_seq,
+// real.fill.two_lane_speedup (median over the reps),
+// sim.two_lane_cpu_ratio (median over the reps), sim.two_lane.lanes
+// (the host threads the two-lane cluster got; 1 under
+// FOURINDEX_THREADS=1, where the ratio means nothing) and
+// sim.host_ns_per_ga_op (one-lane CPU per one-sided GA op). CI's
+// bench-smoke job gates the three ratios (>= 0.5, >= 1.3 and <= 1.3 on
+// two lanes). FOURINDEX_BENCH_SMOKE=1 runs fewer reps.
+//
+// glibc's malloc moves its mmap and trim thresholds as a process frees
+// large blocks, so where a transform's big buffers come from (and how
+// many fresh pages it faults on the CPU clock) would depend on what
+// ran before it. The bench pins both thresholds first.
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "blas/tune.hpp"
 #include "chem/molecule.hpp"
 #include "core/problem.hpp"
+#include "core/schedules_par.hpp"
 #include "core/transform.hpp"
 #include "obs/bench_json.hpp"
 #include "obs/metrics.hpp"
@@ -126,9 +149,65 @@ FillTiming time_fill(const chem::IntegralEngine& engine, std::size_t tile,
           median(ratio)};
 }
 
+struct SimLanes {
+  double one_lane_s = 0, two_lane_s = 0;  // medians of one transform each
+  double ratio = 0;         // median of per-rep two-lane / one-lane CPU
+  double ga_ops = 0;        // one-sided GA ops per transform
+  std::size_t lanes = 0;    // host threads the two-lane cluster got
+};
+
+/// One-lane vs two-lane CPU of a Simulate fused-inner transform (see
+/// the file comment).
+SimLanes time_sim_lanes(int reps) {
+  const core::Problem p = core::make_problem(chem::paper_molecule("C60H20"));
+  core::BalanceCache memo;
+  core::ParOptions o;
+  o.tile = 4;
+  o.balance = ga::Balance::Auto;
+  o.balance_cache = &memo;
+  SimLanes out;
+  auto run = [&](std::size_t threads) {
+    runtime::Cluster cl(runtime::system_b(2),
+                        runtime::ExecutionMode::Simulate, threads);
+    const double t0 = process_cpu_seconds();
+    core::fused_inner_par_transform(p, cl, o);
+    const double secs = process_cpu_seconds() - t0;
+    const runtime::CommStats tot = cl.totals();
+    out.ga_ops = tot.ga_gets + tot.ga_puts + tot.ga_accs;
+    if (threads > 1) out.lanes = cl.host_threads();
+    return secs;
+  };
+  run(1);  // fills the memo: every timed rep replays its picks
+  std::vector<double> t1, t2, ratio;
+  for (int rep = 0; rep < reps; ++rep) {
+    double one = 0, two = 0;
+    if (rep % 2) {
+      two = run(2);
+      one = run(1);
+    } else {
+      one = run(1);
+      two = run(2);
+    }
+    t1.push_back(one);
+    t2.push_back(two);
+    ratio.push_back(two / one);
+  }
+  out.one_lane_s = median(t1);
+  out.two_lane_s = median(t2);
+  out.ratio = median(ratio);
+  return out;
+}
+
 }  // namespace
 
 int main() {
+#if defined(__GLIBC__)
+  // Pin the thresholds glibc would otherwise move (see the file
+  // comment): blocks up to 32 MiB come from the heap, and freed heap
+  // stays mapped for the next transform.
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  mallopt(M_TRIM_THRESHOLD, 64 << 20);
+#endif
   const char* smoke_env = std::getenv("FOURINDEX_BENCH_SMOKE");
   const bool smoke = smoke_env && smoke_env[0] == '1';
   const int reps = smoke ? 5 : 11;
@@ -224,6 +303,26 @@ int main() {
   report.add_table(fill_title, ft);
   std::cout << "fill two-lane speedup = " << fmt_fixed(fill.speedup, 3)
             << "\n";
+
+  const SimLanes sim = time_sim_lanes(reps);
+  const double ns_per_op = sim.one_lane_s / sim.ga_ops * 1e9;
+  TextTable st({"lanes", "CPU ms (median)", "host ns per GA op"});
+  st.add_row({"1", fmt_fixed(sim.one_lane_s * 1e3, 1),
+              fmt_fixed(ns_per_op, 1)});
+  st.add_row({std::to_string(sim.lanes), fmt_fixed(sim.two_lane_s * 1e3, 1),
+              fmt_fixed(sim.two_lane_s / sim.ga_ops * 1e9, 1)});
+  report.add_scalar("sim.two_lane_cpu_ratio", sim.ratio);
+  report.add_scalar("sim.two_lane.lanes", static_cast<double>(sim.lanes));
+  report.add_scalar("sim.host_ns_per_ga_op", ns_per_op);
+  const std::string sim_title =
+      "Simulate fused-inner C60H20 on System B x2, tile 4, auto balance "
+      "with a warm memo: one lane vs two (CPU clock, median of " +
+      std::to_string(reps) + "; " + human_count(sim.ga_ops) +
+      " GA ops per transform)";
+  st.print(sim_title);
+  report.add_table(sim_title, st);
+  std::cout << "Simulate two-lane / one-lane CPU = " << fmt_fixed(sim.ratio, 3)
+            << " on " << sim.lanes << " lanes\n";
   const std::string written = report.write();
   if (!written.empty()) std::cout << "bench JSON: " << written << "\n";
   return 0;

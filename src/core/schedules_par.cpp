@@ -1,6 +1,7 @@
 #include "core/schedules_par.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <map>
 #include <memory>
@@ -39,6 +40,9 @@ using tensor::Tiling;
 namespace {
 
 using Sums = std::map<std::string, double, std::less<>>;
+/// A four-index tile coordinate that lives on the stack: the op loops
+/// build one per GA op.
+using Coord4 = std::array<std::size_t, 4>;
 
 /// The ParStats fields that are one cluster counter's growth over the
 /// run. The registry is the source of truth; finish() diffs it.
@@ -202,6 +206,34 @@ void pipelined_fetch(std::size_t n, bool overlap, Issue&& issue,
   }
 }
 
+/// The scheduler counters one rank's claims add up to in one phase
+/// attempt. The rank body sums them here and adds each to the cluster
+/// registry once, when it returns or unwinds (the claims of an attempt
+/// that a transient fault aborts still count), so the lanes never meet
+/// on the registry's lock per claim. The counter waits are kept one by
+/// one: add_each rounds sched.counter_wait_s exactly as an add per
+/// claim would.
+struct SchedTally {
+  double orphans = 0, counter_waits = 0, fetches = 0, hops = 0, steals = 0,
+         claims = 0;
+  std::vector<double> wait_s;
+
+  void flush(const Par& par, std::size_t rank) const {
+    auto& reg = par.cl.metrics();
+    const std::pair<obs::MetricsRegistry::Id, double> sums[] = {
+        {par.id_sched_orphans, orphans},
+        {par.id_sched_counter_waits, counter_waits},
+        {par.id_sched_fetches, fetches},
+        {par.id_sched_hops, hops},
+        {par.id_sched_steals, steals},
+        {par.id_sched_claims, claims}};
+    for (const auto& [id, v] : sums)
+      if (v != 0) reg.add(id, rank, v);
+    if (!wait_s.empty())
+      reg.add_each(par.id_sched_counter_wait_s, rank, wait_s);
+  }
+};
+
 /// Run one phase whose work is an indexed list of independently
 /// executable tasks, distributed per ParOptions::balance.
 ///
@@ -261,8 +293,7 @@ void run_claimed_phase(
     plan = ga::plan_tasks(par.cl, mode, counter, cost, owner,
                           par.opt.counter_batch);
   }
-  auto& reg = par.cl.metrics();
-  par.cl.run_phase(label, [&](RankCtx& ctx) {
+  auto run_claims = [&](RankCtx& ctx, SchedTally& tally) {
     for (std::size_t nom = 0; nom < plan.claims.size(); ++nom) {
       if (plan.claims[nom].empty()) continue;
       if (nom != ctx.rank()) {
@@ -271,8 +302,7 @@ void run_claimed_phase(
         // claims instead.
         if (!par.cl.is_dead(nom) || par.cl.live_owner(nom) != ctx.rank())
           continue;
-        reg.add(par.id_sched_orphans, ctx.rank(),
-                static_cast<double>(plan.claims[nom].size()));
+        tally.orphans += static_cast<double>(plan.claims[nom].size());
       }
       for (const ga::TaskClaim& claim : plan.claims[nom]) {
         if (claim.fetched) {
@@ -280,21 +310,18 @@ void run_claimed_phase(
           // host is re-resolved through Cluster::live_owner — a dead
           // counter home (flat, per-node or tree) re-targets here.
           counter.charge_fetch_add(ctx, claim.home, claim.wait_s);
-          reg.add(par.id_sched_counter_waits, ctx.rank(), 1);
-          reg.add(par.id_sched_counter_wait_s, ctx.rank(), claim.wait_s);
-          if (claim.task != ga::TaskClaim::kNone)
-            reg.add(par.id_sched_fetches, ctx.rank(), 1);
-          if (claim.hops > 0)
-            reg.add(par.id_sched_hops, ctx.rank(), claim.hops);
+          tally.counter_waits += 1;
+          tally.wait_s.push_back(claim.wait_s);
+          if (claim.task != ga::TaskClaim::kNone) tally.fetches += 1;
+          tally.hops += claim.hops;
         } else if (claim.stolen) {
           const std::size_t victim = par.cl.live_owner(claim.peer);
           ctx.charge_transfer(victim, 8.0);  // steal request
           ctx.charge_transfer(victim, 8.0);  // grant
-          reg.add(par.id_sched_steals, ctx.rank(), 1);
+          tally.steals += 1;
         }
         if (claim.task == ga::TaskClaim::kNone) continue;
-        if (mode != ga::Balance::Static)
-          reg.add(par.id_sched_claims, ctx.rank(), 1);
+        if (mode != ga::Balance::Static) tally.claims += 1;
         const double t0 = ctx.elapsed();
         body(ctx, claim.task);
         if (par.cl.comm_tracing())
@@ -302,7 +329,18 @@ void run_claimed_phase(
                         ctx.elapsed() - t0);
       }
     }
+  };
+  par.cl.run_phase(label, [&](RankCtx& ctx) {
+    SchedTally tally;
+    try {
+      run_claims(ctx, tally);
+    } catch (...) {
+      tally.flush(par, ctx.rank());
+      throw;
+    }
+    tally.flush(par, ctx.rank());
   });
+  auto& reg = par.cl.metrics();
   // Count counters whose planned host is no longer what live_owner
   // resolves to — those fetches were re-homed mid-phase (flat counter,
   // per-node counters and tree nodes all re-own independently).
@@ -567,7 +605,7 @@ void contract1(Par& par, const GlobalArray& a, GlobalArray& o1,
       pipelined_fetch(
           par.nt, par.opt.overlap,
           [&](std::size_t tii, std::size_t s) {
-            ga::TileCoord ac = {tii, tj, ti.coord[2], ti.coord[3]};
+            Coord4 ac = {tii, tj, ti.coord[2], ti.coord[3]};
             fetch[s] =
                 nbget_sym_tile(a, ctx, ac, 0, 1, abuf.at(s), tbuf.at(s));
           },
@@ -615,7 +653,7 @@ void contract2(Par& par, const GlobalArray& o1, GlobalArray& o2,
       fetch_tiles(
           par, ctx, o1, par.nt, max_tile, "O1 fetch",
           [&](std::size_t tjj) {
-            return ga::TileCoord{ta, tjj, ti.coord[2], ti.coord[3]};
+            return Coord4{ta, tjj, ti.coord[2], ti.coord[3]};
           },
           [&](std::size_t tjj, const double* o1t) {
             const std::size_t lenj = par.t.len(tjj);
@@ -657,7 +695,7 @@ void contract3(Par& par, const GlobalArray& o2, GlobalArray& o3,
       pipelined_fetch(
           par.nt, par.opt.overlap,
           [&](std::size_t tkk, std::size_t s) {
-            ga::TileCoord oc = {ti.coord[0], ti.coord[1], tkk,
+            Coord4 oc = {ti.coord[0], ti.coord[1], tkk,
                                 ti.coord[3]};
             if (kl_symmetric) {
               fetch[s] = nbget_sym_tile(o2, ctx, oc, 2, 3, o2buf.at(s),
@@ -710,7 +748,7 @@ void contract4(Par& par, const GlobalArray& o3, GlobalArray& c,
       fetch_tiles(
           par, ctx, o3, nlt, max_tile, "O3 fetch",
           [&](std::size_t tll) {
-            return ga::TileCoord{ti.coord[0], ti.coord[1], ti.coord[2], tll};
+            return Coord4{ti.coord[0], ti.coord[1], ti.coord[2], tll};
           },
           [&](std::size_t tll, const double* o3t) {
             const std::size_t lenl = o3.tiling(3).len(tll);
@@ -958,7 +996,7 @@ void fused_inner_chain(Par& par, std::span<const tensor::Matrix> member_b,
             // This is the A traffic that replicates with n_ac (Sec 7.3).
             RankBuffer bufa(ctx, n * n * m, "A block");
             auto a_tile = [&](std::size_t q) {
-              return ga::TileCoord{ij_tiles[q].first, ij_tiles[q].second,
+              return Coord4{ij_tiles[q].first, ij_tiles[q].second,
                                    tk, 0};
             };
             const std::size_t tw = par.t.max_width();
@@ -1000,7 +1038,7 @@ void fused_inner_chain(Par& par, std::span<const tensor::Matrix> member_b,
                                o1blk.data(), m, n * m, 0.0, o2tile.data(), m,
                                lenb * m, lena);
                 // The put hides behind the next (tb / ta) gemm.
-                store(par, ctx, *o2, ga::TileCoord{ta, tb, tk, 0},
+                store(par, ctx, *o2, Coord4{ta, tb, tk, 0},
                       o2tile.data());
               }
             }
@@ -1044,7 +1082,7 @@ void fused_inner_chain(Par& par, std::span<const tensor::Matrix> member_b,
             // fast memory only — never communicated.
             RankBuffer bufo2(ctx, lena * lenb * n * llen, "O2 row");
             auto o2_tile = [&](std::size_t tk) {
-              return ga::TileCoord{ta, tb, tk, 0};
+              return Coord4{ta, tb, tk, 0};
             };
             const std::size_t tw = par.t.max_width();
             fetch_tiles(
@@ -1084,7 +1122,7 @@ void fused_inner_chain(Par& par, std::span<const tensor::Matrix> member_b,
                                lena * lenb);
                 // The accumulate lands at issue (under the GA acc
                 // mutex) and hides behind the next (tc,td) tile's gemm.
-                store(par, ctx, *cs[mi], ga::TileCoord{ta, tb, tc, td},
+                store(par, ctx, *cs[mi], Coord4{ta, tb, tc, td},
                       ctile.data(), /*accumulate=*/true);
               }
           });
@@ -1454,7 +1492,7 @@ ParResult nwchem_recompute_par_transform(const Problem& p, Cluster& cluster,
                                           n +
                                       par.t.lo(td) + id];
             }
-            c->acc(ctx, ga::TileCoord{ta, tb, tc, td}, ctile.data());
+            c->acc(ctx, Coord4{ta, tb, tc, td}, ctile.data());
           }
       });
   return {gather_c(par, *c), finish(par, "nwchem-recompute")};

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 
 #include "ga/global_array.hpp"
 #include "runtime/cluster.hpp"
@@ -35,14 +36,14 @@ struct SymFetch {
   const double* data = nullptr;
 };
 
-/// Fetch tile `coord` of an array whose dims (d0,d1) form a
+/// Fetch tile `coord` of a four-index array whose dims (d0,d1) form a
 /// triangular-stored symmetric pair. When coord[d0] >= coord[d1] the
 /// stored tile is fetched into `buf`; otherwise the mirrored stored
 /// tile (d0/d1 coordinates swapped) is fetched, untransposed, into
 /// `scratch`. Returns the in-flight fetch descriptor.
 SymFetch nbget_sym_tile(const ga::GlobalArray& arr, runtime::RankCtx& ctx,
-                        ga::TileCoord coord, int d0, int d1, double* buf,
-                        double* scratch);
+                        std::span<const std::size_t> coord, int d0, int d1,
+                        double* buf, double* scratch);
 
 /// Complete a SymFetch: wait for its transfer. Idempotent like
 /// wait_transfer.

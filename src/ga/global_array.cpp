@@ -1,6 +1,7 @@
 #include "ga/global_array.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <numeric>
 
@@ -17,34 +18,37 @@ GlobalArray::GlobalArray(runtime::Cluster& cluster, std::string name,
     : cluster_(cluster), name_(std::move(name)), dims_(std::move(dims)) {
   FIT_REQUIRE(!dims_.empty(), "global array needs at least one dimension");
 
-  // Enumerate the tiles passing the filter, then place them: arrays
-  // created after a rank death land on the survivors. (Placing in a
-  // second pass keeps the tiles' small allocations apart from
-  // by_owner_'s growth; interleaved, construction ran ~15% slower.)
+  // Enumerate the tiles passing the filter into the hot table and the
+  // flat cold tables, then place them: arrays created after a rank
+  // death land on the survivors.
+  const std::size_t nd = dims_.size();
   std::size_t grid = 1;
-  for (const auto& t : dims_) grid *= t.ntiles();
+  for (const auto& t : dims_) {
+    extent_.push_back(t.ntiles());
+    grid *= t.ntiles();
+  }
   grid_index_.assign(grid, 0);
   const std::size_t nranks = cluster_.n_ranks();
+  FIT_REQUIRE(nranks <= std::numeric_limits<std::uint32_t>::max(),
+              "rank count exceeds the tile table's owner field");
   for_each_tile(dims_, filter, owner, nranks,
                 [&](std::span<const std::size_t> coord, std::size_t lin,
                     std::size_t elements, std::size_t nominal) {
-                  grid_index_[lin] = tiles_.size() + 1;
-                  Tile& t = tiles_.emplace_back();
-                  t.info.coord.assign(coord.begin(), coord.end());
-                  t.info.linear = lin;
-                  t.info.elements = elements;
-                  for (std::size_t d = 0; d < coord.size(); ++d) {
-                    t.info.lo.push_back(dims_[d].lo(coord[d]));
-                    t.info.len.push_back(dims_[d].len(coord[d]));
+                  grid_index_[lin] = hot_.size() + 1;
+                  hot_.push_back(
+                      {0, elements, static_cast<std::uint32_t>(nominal)});
+                  for (std::size_t d = 0; d < nd; ++d) {
+                    coord_.push_back(coord[d]);
+                    lo_.push_back(dims_[d].lo(coord[d]));
+                    len_.push_back(dims_[d].len(coord[d]));
                   }
-                  t.info.owner = nominal;
                 });
   by_owner_.assign(nranks, {});
-  for (std::size_t i = 0; i < tiles_.size(); ++i) {
-    auto& t = tiles_[i];
-    t.info.owner = cluster_.live_owner(t.info.owner);
-    by_owner_[t.info.owner].push_back(i);
-    total_elements_ += t.info.elements;
+  for (std::size_t i = 0; i < hot_.size(); ++i) {
+    Tile& t = hot_[i];
+    t.owner = static_cast<std::uint32_t>(cluster_.live_owner(t.owner));
+    by_owner_[t.owner].push_back(i);
+    total_elements_ += t.elements;
   }
   // Collective allocation: may throw OutOfMemoryError. Roll back the
   // charges made so far if a later rank share does not fit, so the
@@ -55,37 +59,38 @@ GlobalArray::GlobalArray(runtime::Cluster& cluster, std::string name,
   const bool can_spill = cluster_.machine().disk_bandwidth_bps > 0;
   std::size_t charged = 0;
   try {
-    for (; charged < tiles_.size(); ++charged) {
-      auto& t = tiles_[charged];
-      const double bytes = 8.0 * double(t.info.elements);
+    for (; charged < hot_.size(); ++charged) {
+      Tile& t = hot_[charged];
+      const double bytes = 8.0 * double(t.elements);
       if (can_spill) {
-        if (!cluster_.memory(t.info.owner).try_alloc(bytes)) {
+        if (!cluster_.memory(t.owner).try_alloc(bytes)) {
           t.spilled = true;
           ++n_spilled_;
           cluster_.note_spill(bytes);
         }
       } else {
-        cluster_.memory(t.info.owner).alloc(bytes, name_.c_str());
+        cluster_.memory(t.owner).alloc(bytes, name_.c_str());
       }
     }
   } catch (...) {
-    if (charged < tiles_.size())
-      cluster_.note_instant("oom: GA '" + name_ + "'",
-                            tiles_[charged].info.owner);
+    if (charged < hot_.size())
+      cluster_.note_instant("oom: GA '" + name_ + "'", hot_[charged].owner);
     for (std::size_t i = 0; i < charged; ++i)
-      cluster_.memory(tiles_[i].info.owner)
-          .release(8.0 * double(tiles_[i].info.elements));
+      cluster_.memory(hot_[i].owner).release(8.0 * double(hot_[i].elements));
     throw;
   }
   if (n_spilled_ > 0)
     cluster_.note_instant("spill: GA '" + name_ + "' (" +
                               std::to_string(n_spilled_) + " tiles)",
                           0);
-  if (cluster_.mode() == runtime::ExecutionMode::Real)
-    for (auto& t : tiles_) t.data.assign(t.info.elements, 0.0);
+  if (cluster_.mode() == runtime::ExecutionMode::Real) {
+    data_.resize(hot_.size());
+    for (std::size_t i = 0; i < hot_.size(); ++i)
+      data_[i].assign(hot_[i].elements, 0.0);
+  }
   cluster_.register_array(this);
   cluster_.note_global_usage();
-  FIT_LOG_DEBUG("GA_Create '" << name_ << "': " << tiles_.size()
+  FIT_LOG_DEBUG("GA_Create '" << name_ << "': " << hot_.size()
                 << " tiles, " << human_bytes(total_bytes())
                 << (n_spilled_ ? (", " + std::to_string(n_spilled_) +
                                   " spilled to disk")
@@ -105,24 +110,29 @@ void GlobalArray::destroy() {
   if (destroyed_) return;
   destroyed_ = true;
   cluster_.unregister_array(this);
-  for (auto& t : tiles_) {
-    const double bytes = 8.0 * double(t.info.elements);
+  for (const Tile& t : hot_) {
+    const double bytes = 8.0 * double(t.elements);
     if (t.spilled)
       cluster_.note_unspill(bytes);
     else
-      cluster_.memory(t.info.owner).release(bytes);
-    t.data.clear();
-    t.data.shrink_to_fit();
+      cluster_.memory(t.owner).release(bytes);
   }
+  data_.clear();
+  data_.shrink_to_fit();
+}
+
+const std::vector<double>& GlobalArray::tile_data(std::size_t idx) const {
+  static const std::vector<double> kNone;  // Simulate mode holds none
+  return data_.empty() ? kNone : data_[idx];
 }
 
 std::size_t GlobalArray::index_of(std::span<const std::size_t> coord) const {
-  FIT_REQUIRE(coord.size() == dims_.size(), "tile coord rank mismatch");
+  FIT_REQUIRE(coord.size() == extent_.size(), "tile coord rank mismatch");
   std::size_t lin = 0;
-  for (std::size_t d = 0; d < dims_.size(); ++d) {
-    FIT_REQUIRE(coord[d] < dims_[d].ntiles(),
+  for (std::size_t d = 0; d < extent_.size(); ++d) {
+    FIT_REQUIRE(coord[d] < extent_[d],
                 name_ << ": tile coord out of grid in dim " << d);
-    lin = lin * dims_[d].ntiles() + coord[d];
+    lin = lin * extent_[d] + coord[d];
   }
   const std::size_t idx = grid_index_[lin];
   FIT_REQUIRE(idx != 0, name_ << ": tile does not exist (filtered out)");
@@ -130,29 +140,60 @@ std::size_t GlobalArray::index_of(std::span<const std::size_t> coord) const {
 }
 
 bool GlobalArray::is_spilled(std::span<const std::size_t> coord) const {
-  return tile_at(coord).spilled;
+  return hot_[index_of(coord)].spilled;
 }
 
 bool GlobalArray::exists(std::span<const std::size_t> coord) const {
-  FIT_REQUIRE(coord.size() == dims_.size(), "tile coord rank mismatch");
+  FIT_REQUIRE(coord.size() == extent_.size(), "tile coord rank mismatch");
   std::size_t lin = 0;
-  for (std::size_t d = 0; d < dims_.size(); ++d) {
-    if (coord[d] >= dims_[d].ntiles()) return false;
-    lin = lin * dims_[d].ntiles() + coord[d];
+  for (std::size_t d = 0; d < extent_.size(); ++d) {
+    if (coord[d] >= extent_[d]) return false;
+    lin = lin * extent_[d] + coord[d];
   }
   return grid_index_[lin] != 0;
 }
 
-const TileInfo& GlobalArray::info(std::span<const std::size_t> coord) const {
-  return tiles_[index_of(coord)].info;
+void GlobalArray::check_readable(const Tile& t, const char* op) const {
+  FIT_CHECK(t.epoch().load(std::memory_order_acquire) < cluster_.epoch(),
+            name_ << ": " << op
+                  << " of a tile written in the current epoch — "
+                     "missing GA_Sync before the read");
 }
 
-GlobalArray::Tile& GlobalArray::tile_at(std::span<const std::size_t> coord) {
-  return tiles_[index_of(coord)];
+void GlobalArray::charge_blocking(RankCtx& ctx, const Tile& t) const {
+  const double bytes = 8.0 * double(t.elements);
+  if (t.spilled)
+    ctx.charge_disk(bytes);
+  else
+    ctx.charge_transfer(t.owner, bytes);
 }
-const GlobalArray::Tile& GlobalArray::tile_at(
-    std::span<const std::size_t> coord) const {
-  return tiles_[index_of(coord)];
+
+GlobalArray::NbHandle GlobalArray::charge_begin(RankCtx& ctx, const Tile& t,
+                                                runtime::NbKind kind) const {
+  const double bytes = 8.0 * double(t.elements);
+  return t.spilled ? ctx.begin_disk_transfer(bytes, kind)
+                   : ctx.begin_transfer(t.owner, bytes, kind);
+}
+
+void GlobalArray::mark_written(Tile& t) {
+  t.epoch().store(cluster_.epoch(), std::memory_order_release);
+}
+
+void GlobalArray::read_data(std::size_t idx, double* buf) const {
+  FIT_REQUIRE(buf != nullptr, "null buffer in Real mode");
+  std::copy(data_[idx].begin(), data_[idx].end(), buf);
+}
+
+void GlobalArray::write_data(std::size_t idx, const double* buf,
+                             bool accumulate) {
+  FIT_REQUIRE(buf != nullptr, "null buffer in Real mode");
+  std::vector<double>& d = data_[idx];
+  if (!accumulate) {
+    std::copy(buf, buf + d.size(), d.begin());
+    return;
+  }
+  std::lock_guard<std::mutex> lock(acc_mutex_);
+  for (std::size_t i = 0; i < d.size(); ++i) d[i] += buf[i];
 }
 
 void GlobalArray::get(RankCtx& ctx, std::span<const std::size_t> coord,
@@ -160,19 +201,10 @@ void GlobalArray::get(RankCtx& ctx, std::span<const std::size_t> coord,
   FIT_REQUIRE(!destroyed_, name_ << ": get after destroy");
   ctx.fault_point("get");
   ctx.count_ga_get();
-  const Tile& t = tile_at(coord);
-  FIT_CHECK(t.write_epoch.load(std::memory_order_acquire) <
-                cluster_.epoch(),
-            name_ << ": get of a tile written in the current epoch — "
-                     "missing GA_Sync before the read");
-  if (t.spilled)
-    ctx.charge_disk(8.0 * double(t.info.elements));
-  else
-    ctx.charge_transfer(t.info.owner, 8.0 * double(t.info.elements));
-  if (ctx.real()) {
-    FIT_REQUIRE(buf != nullptr, "null buffer in Real mode");
-    std::copy(t.data.begin(), t.data.end(), buf);
-  }
+  const std::size_t idx = index_of(coord);
+  check_readable(hot_[idx], "get");
+  charge_blocking(ctx, hot_[idx]);
+  if (ctx.real()) read_data(idx, buf);
 }
 
 void GlobalArray::put(RankCtx& ctx, std::span<const std::size_t> coord,
@@ -180,16 +212,10 @@ void GlobalArray::put(RankCtx& ctx, std::span<const std::size_t> coord,
   FIT_REQUIRE(!destroyed_, name_ << ": put after destroy");
   ctx.fault_point("put");
   ctx.count_ga_put();
-  Tile& t = tile_at(coord);
-  if (t.spilled)
-    ctx.charge_disk(8.0 * double(t.info.elements));
-  else
-    ctx.charge_transfer(t.info.owner, 8.0 * double(t.info.elements));
-  t.write_epoch.store(cluster_.epoch(), std::memory_order_release);
-  if (ctx.real()) {
-    FIT_REQUIRE(buf != nullptr, "null buffer in Real mode");
-    std::copy(buf, buf + t.info.elements, t.data.begin());
-  }
+  const std::size_t idx = index_of(coord);
+  charge_blocking(ctx, hot_[idx]);
+  mark_written(hot_[idx]);
+  if (ctx.real()) write_data(idx, buf, false);
 }
 
 void GlobalArray::acc(RankCtx& ctx, std::span<const std::size_t> coord,
@@ -197,17 +223,10 @@ void GlobalArray::acc(RankCtx& ctx, std::span<const std::size_t> coord,
   FIT_REQUIRE(!destroyed_, name_ << ": acc after destroy");
   ctx.fault_point("acc");
   ctx.count_ga_acc();
-  Tile& t = tile_at(coord);
-  if (t.spilled)
-    ctx.charge_disk(8.0 * double(t.info.elements));
-  else
-    ctx.charge_transfer(t.info.owner, 8.0 * double(t.info.elements));
-  t.write_epoch.store(cluster_.epoch(), std::memory_order_release);
-  if (ctx.real()) {
-    FIT_REQUIRE(buf != nullptr, "null buffer in Real mode");
-    std::lock_guard<std::mutex> lock(acc_mutex_);
-    for (std::size_t i = 0; i < t.info.elements; ++i) t.data[i] += buf[i];
-  }
+  const std::size_t idx = index_of(coord);
+  charge_blocking(ctx, hot_[idx]);
+  mark_written(hot_[idx]);
+  if (ctx.real()) write_data(idx, buf, true);
 }
 
 GlobalArray::NbHandle GlobalArray::nbget(RankCtx& ctx,
@@ -216,20 +235,10 @@ GlobalArray::NbHandle GlobalArray::nbget(RankCtx& ctx,
   FIT_REQUIRE(!destroyed_, name_ << ": nbget after destroy");
   ctx.fault_point("nbget");
   ctx.count_ga_get();
-  const Tile& t = tile_at(coord);
-  FIT_CHECK(t.write_epoch.load(std::memory_order_acquire) <
-                cluster_.epoch(),
-            name_ << ": nbget of a tile written in the current epoch — "
-                     "missing GA_Sync before the read");
-  const double bytes = 8.0 * double(t.info.elements);
-  const NbHandle h =
-      t.spilled ? ctx.begin_disk_transfer(bytes, runtime::NbKind::Get)
-                : ctx.begin_transfer(t.info.owner, bytes,
-                                     runtime::NbKind::Get);
-  if (ctx.real()) {
-    FIT_REQUIRE(buf != nullptr, "null buffer in Real mode");
-    std::copy(t.data.begin(), t.data.end(), buf);
-  }
+  const std::size_t idx = index_of(coord);
+  check_readable(hot_[idx], "nbget");
+  const NbHandle h = charge_begin(ctx, hot_[idx], runtime::NbKind::Get);
+  if (ctx.real()) read_data(idx, buf);
   return h;
 }
 
@@ -239,17 +248,10 @@ GlobalArray::NbHandle GlobalArray::nbput(RankCtx& ctx,
   FIT_REQUIRE(!destroyed_, name_ << ": nbput after destroy");
   ctx.fault_point("nbput");
   ctx.count_ga_put();
-  Tile& t = tile_at(coord);
-  const double bytes = 8.0 * double(t.info.elements);
-  const NbHandle h =
-      t.spilled ? ctx.begin_disk_transfer(bytes, runtime::NbKind::Put)
-                : ctx.begin_transfer(t.info.owner, bytes,
-                                     runtime::NbKind::Put);
-  t.write_epoch.store(cluster_.epoch(), std::memory_order_release);
-  if (ctx.real()) {
-    FIT_REQUIRE(buf != nullptr, "null buffer in Real mode");
-    std::copy(buf, buf + t.info.elements, t.data.begin());
-  }
+  const std::size_t idx = index_of(coord);
+  const NbHandle h = charge_begin(ctx, hot_[idx], runtime::NbKind::Put);
+  mark_written(hot_[idx]);
+  if (ctx.real()) write_data(idx, buf, false);
   return h;
 }
 
@@ -259,18 +261,10 @@ GlobalArray::NbHandle GlobalArray::nbacc(RankCtx& ctx,
   FIT_REQUIRE(!destroyed_, name_ << ": nbacc after destroy");
   ctx.fault_point("nbacc");
   ctx.count_ga_acc();
-  Tile& t = tile_at(coord);
-  const double bytes = 8.0 * double(t.info.elements);
-  const NbHandle h =
-      t.spilled ? ctx.begin_disk_transfer(bytes, runtime::NbKind::Acc)
-                : ctx.begin_transfer(t.info.owner, bytes,
-                                     runtime::NbKind::Acc);
-  t.write_epoch.store(cluster_.epoch(), std::memory_order_release);
-  if (ctx.real()) {
-    FIT_REQUIRE(buf != nullptr, "null buffer in Real mode");
-    std::lock_guard<std::mutex> lock(acc_mutex_);
-    for (std::size_t i = 0; i < t.info.elements; ++i) t.data[i] += buf[i];
-  }
+  const std::size_t idx = index_of(coord);
+  const NbHandle h = charge_begin(ctx, hot_[idx], runtime::NbKind::Acc);
+  mark_written(hot_[idx]);
+  if (ctx.real()) write_data(idx, buf, true);
   return h;
 }
 
@@ -281,28 +275,29 @@ double GlobalArray::peek(std::span<const std::size_t> element) const {
   TileCoord coord(dims_.size());
   for (std::size_t d = 0; d < dims_.size(); ++d)
     coord[d] = dims_[d].tile_of(element[d]);
-  const Tile& t = tile_at(coord);
+  const std::size_t idx = index_of(coord);
+  const TileInfo t = tile_by_index(idx);
   std::size_t off = 0;
   for (std::size_t d = 0; d < dims_.size(); ++d)
-    off = off * t.info.len[d] + (element[d] - t.info.lo[d]);
-  return t.data[off];
+    off = off * t.len[d] + (element[d] - t.lo[d]);
+  return data_[idx][off];
 }
 
 void GlobalArray::restore_tile(std::size_t idx,
                                std::span<const double> data,
                                std::uint64_t epoch) {
-  FIT_REQUIRE(idx < tiles_.size(), name_ << ": restore of bad tile index");
-  Tile& t = tiles_[idx];
+  FIT_REQUIRE(idx < hot_.size(), name_ << ": restore of bad tile index");
   if (cluster_.mode() == runtime::ExecutionMode::Real) {
+    std::vector<double>& d = data_[idx];
     if (data.empty()) {
-      std::fill(t.data.begin(), t.data.end(), 0.0);
+      std::fill(d.begin(), d.end(), 0.0);
     } else {
-      FIT_CHECK(data.size() == t.info.elements,
+      FIT_CHECK(data.size() == hot_[idx].elements,
                 name_ << ": checkpoint tile size mismatch");
-      std::copy(data.begin(), data.end(), t.data.begin());
+      std::copy(data.begin(), data.end(), d.begin());
     }
   }
-  t.write_epoch.store(epoch, std::memory_order_release);
+  hot_[idx].epoch().store(epoch, std::memory_order_release);
 }
 
 std::vector<std::size_t> GlobalArray::reassign_owners(
@@ -333,21 +328,21 @@ std::vector<std::size_t> GlobalArray::reassign_owners(
   for (std::size_t d : dead) {
     FIT_REQUIRE(d < by_owner_.size(), "rank out of range");
     for (std::size_t idx : by_owner_[d]) {
-      Tile& t = tiles_[idx];
+      Tile& t = hot_[idx];
       const std::size_t target = best_target();
       if (t.spilled) {
         // Bytes live on the shared file system; only the nominal owner
         // (used for locality decisions) changes.
-        t.info.owner = target;
+        t.owner = static_cast<std::uint32_t>(target);
         by_owner_[target].push_back(idx);
         continue;
       }
-      const double bytes = 8.0 * double(t.info.elements);
+      const double bytes = 8.0 * double(t.elements);
       cluster_.memory(d).release(bytes);
       if (cluster_.memory(target).try_alloc(bytes)) {
-        t.info.owner = target;
+        t.owner = static_cast<std::uint32_t>(target);
       } else if (can_spill) {
-        t.info.owner = target;
+        t.owner = static_cast<std::uint32_t>(target);
         t.spilled = true;
         ++n_spilled_;
         cluster_.note_spill(bytes);

@@ -20,7 +20,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -50,14 +49,14 @@ using TileFilter = std::function<bool(std::span<const std::size_t>)>;
 using OwnerFn =
     std::function<std::size_t(std::span<const std::size_t>, std::size_t)>;
 
-/// Metadata of one existing tile of a GlobalArray.
+/// Metadata of one existing tile of a GlobalArray: a view into the
+/// array's tables, valid while the array lives.
 struct TileInfo {
-  TileCoord coord;               ///< Tile indices per dimension.
-  std::vector<std::size_t> lo;   ///< Inclusive element offsets per dim.
-  std::vector<std::size_t> len;  ///< Extents per dim.
-  std::size_t elements = 1;      ///< Product of the extents.
-  std::size_t owner = 0;         ///< Owning rank.
-  std::size_t linear = 0;  ///< Dense linear tile id in the full grid.
+  std::span<const std::size_t> coord;  ///< Tile indices per dimension.
+  std::span<const std::size_t> lo;  ///< Inclusive element offsets per dim.
+  std::span<const std::size_t> len;  ///< Extents per dim.
+  std::size_t elements = 1;          ///< Product of the extents.
+  std::size_t owner = 0;             ///< Owning rank.
 };
 
 /// Enumerates the tiles a GlobalArray over `dims` holds: every tile of
@@ -126,7 +125,7 @@ class GlobalArray {
   const tensor::Tiling& tiling(std::size_t d) const { return dims_[d]; }
 
   /// Number of existing (filter-passing) tiles.
-  std::size_t n_tiles() const { return tiles_.size(); }
+  std::size_t n_tiles() const { return hot_.size(); }
   /// Total elements across existing tiles.
   std::size_t total_elements() const { return total_elements_; }
   /// Total bytes across existing tiles (8 bytes per element).
@@ -142,7 +141,9 @@ class GlobalArray {
   /// True when the tile at `coord` passes the filter (i.e. is stored).
   bool exists(std::span<const std::size_t> coord) const;
   /// Metadata of the existing tile at `coord`.
-  const TileInfo& info(std::span<const std::size_t> coord) const;
+  TileInfo info(std::span<const std::size_t> coord) const {
+    return tile_by_index(index_of(coord));
+  }
 
   /// Tiles owned by `rank`, in deterministic order.
   const std::vector<std::size_t>& tiles_of(std::size_t rank) const {
@@ -150,8 +151,10 @@ class GlobalArray {
   }
   /// Metadata of the tile with internal index `idx` (as returned by
   /// tiles_of / reassign_owners).
-  const TileInfo& tile_by_index(std::size_t idx) const {
-    return tiles_[idx].info;
+  TileInfo tile_by_index(std::size_t idx) const {
+    const std::size_t nd = dims_.size();
+    return {{&coord_[idx * nd], nd}, {&lo_[idx * nd], nd},
+            {&len_[idx * nd], nd}, hot_[idx].elements, hot_[idx].owner};
   }
 
   /// One-sided read of a whole tile into `buf` (row-major over the
@@ -214,13 +217,11 @@ class GlobalArray {
 
   /// Write epoch of tile `idx` (0 = never written).
   std::uint64_t tile_write_epoch(std::size_t idx) const {
-    return tiles_[idx].write_epoch.load(std::memory_order_acquire);
+    return hot_[idx].epoch().load(std::memory_order_acquire);
   }
   /// Tile payload (empty in Simulate mode and for never-written tiles
   /// snapshotted as zeros).
-  const std::vector<double>& tile_data(std::size_t idx) const {
-    return tiles_[idx].data;
-  }
+  const std::vector<double>& tile_data(std::size_t idx) const;
   /// Overwrite tile `idx` with checkpointed content (`data` empty =
   /// zeros in Real mode) and rewind its write epoch to `epoch`.
   void restore_tile(std::size_t idx, std::span<const double> data,
@@ -240,21 +241,42 @@ class GlobalArray {
       std::span<const std::size_t> targets);
 
  private:
+  // What every one-sided op reads or writes, one dense entry per
+  // existing tile (24 bytes: the table's footprint is what an op pays
+  // for, so it is not padded to a cache line).
   struct Tile {
-    TileInfo info;
-    std::vector<double> data;            // Real mode only
-    std::atomic<std::uint64_t> write_epoch{0};
-    bool spilled = false;                // resides on the simulated disk
+    mutable std::uint64_t write_epoch = 0;  // only through epoch()
+    std::size_t elements = 0;               // product of the extents
+    std::uint32_t owner = 0;                // owning rank
+    bool spilled = false;  // resides on the simulated disk
+
+    /// The write epoch, which lanes store concurrently (accumulates
+    /// may share an output tile).
+    std::atomic_ref<std::uint64_t> epoch() const {
+      return std::atomic_ref<std::uint64_t>(write_epoch);
+    }
   };
 
   std::size_t index_of(std::span<const std::size_t> coord) const;
-  Tile& tile_at(std::span<const std::size_t> coord);
-  const Tile& tile_at(std::span<const std::size_t> coord) const;
+  // The steps of a one-sided op (`op` names it in error messages).
+  void check_readable(const Tile& t, const char* op) const;
+  void charge_blocking(runtime::RankCtx& ctx, const Tile& t) const;
+  NbHandle charge_begin(runtime::RankCtx& ctx, const Tile& t,
+                        runtime::NbKind kind) const;
+  void mark_written(Tile& t);
+  // Real mode: copy tile `idx` out to `buf`, or `buf` into (or, with
+  // `accumulate`, onto) the tile.
+  void read_data(std::size_t idx, double* buf) const;
+  void write_data(std::size_t idx, const double* buf, bool accumulate);
 
   runtime::Cluster& cluster_;
   std::string name_;
   std::vector<tensor::Tiling> dims_;
-  std::deque<Tile> tiles_;  // deque: Tile is non-movable (atomic)
+  std::vector<std::size_t> extent_;  // tile count per dimension
+  std::vector<Tile> hot_;
+  // Cold metadata, n_dims() entries per tile, flat in tile order.
+  std::vector<std::size_t> coord_, lo_, len_;
+  std::vector<std::vector<double>> data_;  // payloads, Real mode only
   std::vector<std::size_t> grid_index_;  // dense linear id -> tile idx+1
   std::vector<std::vector<std::size_t>> by_owner_;
   std::size_t total_elements_ = 0;

@@ -63,6 +63,17 @@ void MetricsRegistry::add(Id id, std::size_t rank, double v) {
   m.per_rank[rank] += v;
 }
 
+void MetricsRegistry::add_each(Id id, std::size_t rank,
+                               std::span<const double> vs) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  FIT_REQUIRE(id < metrics_.size(), "unknown metric id");
+  Metric& m = metrics_[id];
+  FIT_REQUIRE(m.kind == MetricKind::Counter,
+              "add_each() on non-counter metric '" << m.name << "'");
+  FIT_REQUIRE(rank < n_ranks_, "metric rank out of range");
+  for (double v : vs) m.per_rank[rank] += v;
+}
+
 void MetricsRegistry::set(Id id, std::size_t rank, double v) {
   std::lock_guard<std::mutex> lock(mutex_);
   FIT_REQUIRE(id < metrics_.size(), "unknown metric id");

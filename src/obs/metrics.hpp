@@ -21,6 +21,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -49,6 +50,10 @@ class MetricsRegistry {
   /// Counter accumulate / gauge set for one rank's slot.
   void add(Id id, std::size_t rank, double v);
   void set(Id id, std::size_t rank, double v);
+  /// Counter accumulate of every value of `vs`, in order, into one
+  /// rank's slot under one lock: the slot rounds exactly as the same
+  /// add() calls made one by one would leave it.
+  void add_each(Id id, std::size_t rank, std::span<const double> vs);
   /// Histogram observation (global, not per rank).
   void observe(Id id, double v);
 

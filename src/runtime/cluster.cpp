@@ -58,10 +58,12 @@ void MemTracker::release(double bytes) {
   if (used_ < 0) used_ = 0;
 }
 
+RankCtx::RankCtx(Cluster& cluster, std::size_t rank, std::size_t attempt)
+    : cluster_(cluster), rank_(rank), attempt_(attempt),
+      real_(cluster.mode() == ExecutionMode::Real),
+      armed_(cluster.faults_.armed()) {}
+
 std::size_t RankCtx::n_ranks() const { return cluster_.n_ranks(); }
-bool RankCtx::real() const {
-  return cluster_.mode() == ExecutionMode::Real;
-}
 const MachineConfig& RankCtx::machine() const { return cluster_.machine(); }
 MemTracker& RankCtx::memory() { return cluster_.memory(rank_); }
 MemTracker& RankCtx::scratch() { return cluster_.scratch(rank_); }
@@ -110,13 +112,12 @@ void RankCtx::note_span(const std::string& name, double t_start,
                         double duration) {
   if (!cluster_.trace_comm_) return;
   // intern() takes the timeline's own lock, so this is safe from the
-  // strided pool threads.
+  // pool's lanes.
   task_spans_.push_back(
       {cluster_.timeline_.intern(name), t_start, duration});
 }
 
-void RankCtx::fault_point(const char* what) {
-  if (!cluster_.faults_.armed()) return;
+void RankCtx::fire_fault_point(const char* what) {
   const std::size_t seq = op_seq_++;
   if (cluster_.faults_.should_fail_op(cluster_.phase_index(), attempt_,
                                       rank_, seq)) {
@@ -519,74 +520,74 @@ void Cluster::execute_attempt(const std::function<void(RankCtx&)>& body,
   // Retries execute after the failed attempt's work and the backoff,
   // so this attempt's spans start at the phase's accumulated offset.
   const double t0 = rec.t_start + rec.makespan;
-  double attempt_makespan = 0;
-  if (host_threads_ <= 1 || n_ranks() == 1) {
+  // What each rank that finished its body charged. The record sums
+  // these in rank order once the lanes are done, so it comes out the
+  // same for any lane count.
+  struct Finished {
+    bool ran = false;
+    double time = 0;
+    CommStats comm;
+  };
+  std::vector<Finished> finished(n_ranks());
+  auto run_rank = [&](std::size_t r) {
+    RankCtx ctx(*this, r, attempt);
+    body(ctx);
+    // The barrier is also the nonblocking quiescence point: no handle
+    // outlives the phase, and the makespan below already includes
+    // every in-flight transfer's completion.
+    ctx.quiesce();
+    merge_rank(ctx);
+    timeline_.add_span(span_name, r, t0, ctx.time_);
+    flush_nb_spans(ctx, t0);
+    flush_task_spans(ctx, t0);
+    finished[r] = {true, ctx.time_, ctx.comm_};
+  };
+  // An attempt in which a one-sided op may fail runs its ranks on one
+  // lane, in rank order: the first failing rank ends it there, as the
+  // serial executor does, so neither the charges of the aborted
+  // attempt nor the fault budgets it drains depend on the lane count.
+  const std::size_t lanes = faults_.can_fail_ops(phase_index())
+                                ? 1
+                                : std::min(host_threads_, n_ranks());
+  std::exception_ptr first_error;
+  if (lanes <= 1) {
     try {
-      for (std::size_t r = 0; r < n_ranks(); ++r) {
-        if (dead_[r]) continue;
-        RankCtx ctx(*this, r, attempt);
-        body(ctx);
-        // The barrier is also the nonblocking quiescence point: no
-        // handle outlives the phase, and the makespan below already
-        // includes every in-flight transfer's completion.
-        ctx.quiesce();
-        attempt_makespan = std::max(attempt_makespan, ctx.time_);
-        rec.total_rank_time += ctx.time_;
-        rec.comm += ctx.comm_;
-        merge_rank(ctx);
-        timeline_.add_span(span_name, r, t0, ctx.time_);
-        flush_nb_spans(ctx, t0);
-        flush_task_spans(ctx, t0);
-      }
+      for (std::size_t r = 0; r < n_ranks(); ++r)
+        if (!dead_[r]) run_rank(r);
     } catch (...) {
-      rec.makespan += attempt_makespan;
-      throw;
+      first_error = std::current_exception();
     }
   } else {
-    // Each rank is processed by exactly one task (strided assignment
-    // by task index), so per-rank state needs no locking; the phase
-    // record is merged under a mutex (registry and timeline have
-    // their own). Exceptions (e.g. scratch OOM, injected transient
-    // faults) are captured and rethrown on the calling thread. Tasks
-    // run on the process-wide util::ThreadPool — workers are created
-    // once per process, not once per phase — and the strided rank ->
-    // task mapping keeps all counters deterministic no matter which
-    // worker executes which task.
-    const std::size_t nthreads = std::min(host_threads_, n_ranks());
-    std::mutex merge_mutex;
-    std::exception_ptr first_error;
-    util::ThreadPool::shared().run_tasks(nthreads, [&](std::size_t t) {
-      PhaseRecord local;
-      double local_makespan = 0;
+    // Each rank is run by exactly one lane, so per-rank state needs no
+    // locking (registry and timeline have their own). Lanes take
+    // contiguous blocks of ranks: tiles are owned round-robin, so
+    // neighbouring GA table entries and memory trackers belong to
+    // neighbouring ranks, and strided lanes would write them from two
+    // cores. A lane stops at its first exception (scratch OOM, say),
+    // which is rethrown on the calling thread. Lanes run on the
+    // process-wide util::ThreadPool: workers are created once per
+    // process, not once per phase.
+    std::mutex error_mutex;
+    util::ThreadPool::shared().run_tasks(lanes, [&](std::size_t t) {
       try {
-        for (std::size_t r = t; r < n_ranks(); r += nthreads) {
-          if (dead_[r]) continue;
-          RankCtx ctx(*this, r, attempt);
-          body(ctx);
-          ctx.quiesce();  // barrier = nonblocking quiescence point
-          local_makespan = std::max(local_makespan, ctx.time_);
-          local.total_rank_time += ctx.time_;
-          local.comm += ctx.comm_;
-          merge_rank(ctx);
-          timeline_.add_span(span_name, r, t0, ctx.time_);
-          flush_nb_spans(ctx, t0);
-          flush_task_spans(ctx, t0);
-        }
-        std::lock_guard<std::mutex> lock(merge_mutex);
-        attempt_makespan = std::max(attempt_makespan, local_makespan);
-        rec.total_rank_time += local.total_rank_time;
-        rec.comm += local.comm;
+        const std::size_t hi = (t + 1) * n_ranks() / lanes;
+        for (std::size_t r = t * n_ranks() / lanes; r < hi; ++r)
+          if (!dead_[r]) run_rank(r);
       } catch (...) {
-        std::lock_guard<std::mutex> lock(merge_mutex);
+        std::lock_guard<std::mutex> lock(error_mutex);
         if (!first_error) first_error = std::current_exception();
       }
     });
-    if (first_error) {
-      rec.makespan += attempt_makespan;
-      std::rethrow_exception(first_error);
-    }
+  }
+  double attempt_makespan = 0;
+  for (const Finished& f : finished) {
+    if (!f.ran) continue;
+    attempt_makespan = std::max(attempt_makespan, f.time);
+    rec.total_rank_time += f.time;
+    rec.comm += f.comm;
   }
   rec.makespan += attempt_makespan;
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 void Cluster::run_phase(const std::string& label,

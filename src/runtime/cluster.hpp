@@ -171,7 +171,7 @@ class RankCtx {
   /// Rank count of the owning cluster.
   std::size_t n_ranks() const;
   /// True under ExecutionMode::Real (buffers hold real data).
-  bool real() const;
+  bool real() const { return real_; }
   /// The owning cluster's machine description.
   const MachineConfig& machine() const;
 
@@ -243,7 +243,13 @@ class RankCtx {
   /// Fault-injection probe, called by the GA layer before every
   /// one-sided op. Throws FaultError when the installed injector
   /// decrees a transient failure; run_phase's retry path absorbs it.
-  void fault_point(const char* what);
+  /// Whether the injector is armed is read once, when the context is
+  /// built for a phase attempt: the plan changes only between phases
+  /// and attempts (boundary faults, retry kills, install_faults), so an
+  /// unarmed run pays one predictable branch per op and takes no lock.
+  void fault_point(const char* what) {
+    if (armed_) fire_fault_point(what);
+  }
 
   /// This rank's Global-Array memory tracker.
   MemTracker& memory();
@@ -254,8 +260,7 @@ class RankCtx {
 
  private:
   friend class Cluster;
-  RankCtx(Cluster& cluster, std::size_t rank, std::size_t attempt = 0)
-      : cluster_(cluster), rank_(rank), attempt_(attempt) {}
+  RankCtx(Cluster& cluster, std::size_t rank, std::size_t attempt);
 
   struct NbOp {
     double start = 0;     // when the link begins moving the bytes
@@ -269,10 +274,14 @@ class RankCtx {
     double duration = 0;
   };
   NbTransfer enqueue_nb(double duration, NbKind kind);
+  /// fault_point's armed path: sequences the op and asks the injector.
+  void fire_fault_point(const char* what);
 
   Cluster& cluster_;
   std::size_t rank_;
   std::size_t attempt_;
+  bool real_;   // the cluster runs in ExecutionMode::Real
+  bool armed_;  // the injector's armed() when this attempt began
   std::size_t op_seq_ = 0;  // one-sided ops issued so far this attempt
   double time_ = 0;
   double link_free_ = 0;  // when this rank's injection link frees up
@@ -290,8 +299,10 @@ class Cluster {
  public:
   /// `host_threads` > 1 executes the ranks of each phase on a pool of
   /// host threads (the GA layer's one-sided operations are thread
-  /// safe). Results are numerically identical up to floating-point
-  /// accumulation order; all counters are exactly deterministic.
+  /// safe); a phase attempt in which an injected op fault may fire
+  /// runs on one lane, in rank order. Results are numerically
+  /// identical up to floating-point accumulation order; all counters,
+  /// phase records and simulated times are the same for any lane count.
   Cluster(MachineConfig config, ExecutionMode mode,
           std::size_t host_threads = 1);
   /// Tears down the host-thread pool; registered arrays must already

@@ -69,6 +69,15 @@ bool FaultInjector::armed() const {
          !plan_.empty();
 }
 
+bool FaultInjector::can_fail_ops(std::size_t phase) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (op_prob_ > 0) return true;
+  return std::any_of(plan_.begin(), plan_.end(), [&](const FaultEvent& ev) {
+    return ev.kind == FaultKind::TransientOp && ev.phase == phase &&
+           ev.count > 0;
+  });
+}
+
 namespace {
 
 bool is_kill(FaultKind k) {

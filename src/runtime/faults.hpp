@@ -112,6 +112,9 @@ class FaultInjector {
   /// True when any fault is scheduled or any probability is set —
   /// unarmed injectors cost the cluster nothing.
   bool armed() const;
+  /// True when a one-sided op of `phase` may still fail: the op
+  /// probability is set, or a TransientOp budget of that phase is left.
+  bool can_fail_ops(std::size_t phase) const;
   /// The seed every probability roll hashes from.
   std::uint64_t seed() const { return seed_; }
   /// The per-(phase, rank) boundary kill probability.

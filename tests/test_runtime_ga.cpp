@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -279,7 +280,7 @@ TEST(GlobalArray, RestoreTileRoundTripsDataAndEpoch) {
   });
   std::size_t idx = a.n_tiles();
   for (std::size_t i = 0; i < a.n_tiles(); ++i)
-    if (a.tile_by_index(i).coord == coord) idx = i;
+    if (std::ranges::equal(a.tile_by_index(i).coord, coord)) idx = i;
   ASSERT_LT(idx, a.n_tiles());
   const auto snap = a.tile_data(idx);           // copy = the snapshot
   const auto epoch = a.tile_write_epoch(idx);

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <map>
+#include <string>
 #include <thread>
 
 #include "chem/molecule.hpp"
@@ -14,7 +16,9 @@
 #include "core/schedules_seq.hpp"
 #include "ga/global_array.hpp"
 #include "runtime/cluster.hpp"
+#include "runtime/faults.hpp"
 #include "runtime/machine.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -30,6 +34,26 @@ MachineConfig machine(std::size_t nodes, std::size_t rpn) {
   m.ranks_per_node = rpn;
   m.mem_per_node_bytes = 64e6;
   return m;
+}
+
+/// machine() with a parallel file system, so recovery (checkpoints and
+/// phase retry) can be enabled.
+MachineConfig disk_machine(std::size_t nodes, std::size_t rpn) {
+  MachineConfig m = machine(nodes, rpn);
+  m.disk_bandwidth_bps = 1e9;
+  m.disk_latency_s = 1e-4;
+  return m;
+}
+
+/// The sum of every counter in the cluster's registry, by name, host
+/// clock readings (schedule.*.host_wall_s) aside.
+std::map<std::string, double> counter_sums(const Cluster& cl) {
+  std::map<std::string, double> out;
+  for (const auto& name : cl.metrics().names())
+    if (cl.metrics().kind(name) == obs::MetricKind::Counter &&
+        !name.ends_with(".host_wall_s"))
+      out[name] = cl.metrics().sum(name);
+  return out;
 }
 
 TEST(Threaded, AllRanksExecuteExactlyOnce) {
@@ -139,3 +163,82 @@ TEST(Threaded, HybridEndToEnd) {
 }
 
 }  // namespace
+
+TEST(Threaded, DynamicBalanceAndFaultsMatchAcrossLanes) {
+  // Every registry counter (ga.*, comm.*, sched.*, fault.*, retry.*,
+  // checkpoint.*) and the simulated time agree between one and four
+  // lanes under dynamic balance, fault-free and with seeded transient
+  // op faults: budgets on seeded ranks of seeded phases, so the phases
+  // between them still run on every lane.
+  auto p = core::make_problem(chem::custom_molecule("thr4", 12, 2, 5));
+  for (auto balance : {ga::Balance::Counter, ga::Balance::Steal}) {
+    for (bool faults : {false, true}) {
+      SCOPED_TRACE(std::string(ga::to_string(balance)) +
+                   (faults ? " with faults" : " fault-free"));
+      core::ParOptions o;
+      o.tile = 4;
+      o.tile_l = 3;
+      o.gather_result = false;
+      o.balance = balance;
+      auto run = [&](std::size_t lanes) {
+        Cluster cl(disk_machine(2, 4), ExecutionMode::Simulate, lanes);
+        cl.enable_recovery();
+        if (faults) {
+          runtime::FaultInjector inj(2024);
+          SplitMix64 g(2024);
+          for (int i = 0; i < 3; ++i) {
+            runtime::FaultEvent ev;
+            ev.kind = runtime::FaultKind::TransientOp;
+            ev.phase = 1 + g.next_below(8);
+            ev.rank = g.next_below(cl.n_ranks());
+            ev.count = 1 + g.next_below(2);
+            inj.schedule(ev);
+          }
+          cl.install_faults(inj);
+        }
+        const auto r = core::fused_inner_par_transform(p, cl, o);
+        return std::make_pair(counter_sums(cl), r.stats.sim_time);
+      };
+      const auto [one, one_sim] = run(1);
+      const auto [four, four_sim] = run(4);
+      EXPECT_EQ(one_sim, four_sim);
+      ASSERT_EQ(one.size(), four.size());
+      for (const auto& [name, sum] : one) {
+        ASSERT_TRUE(four.contains(name)) << name;
+        EXPECT_EQ(sum, four.at(name)) << name;
+      }
+      EXPECT_GT(one.at("sched.claims"), 0.0);
+      if (faults) {
+        EXPECT_GT(one.at("fault.transient_ops"), 0.0);
+        EXPECT_GT(one.at("retry.attempts"), 0.0);
+      }
+    }
+  }
+}
+
+TEST(Threaded, InjectorInstalledBetweenPhasesFiresInTheNext) {
+  // Whether faults are armed is read when a phase attempt builds its
+  // rank contexts, so an injector installed between two phases of one
+  // cluster is seen by the next phase's ops.
+  Cluster cl(disk_machine(2, 4), ExecutionMode::Simulate, 4);
+  cl.enable_recovery();
+  ga::GlobalArray a(cl, "a", {tensor::Tiling(16, 4)});  // ranks 0-3 own one
+  auto touch = [&](runtime::RankCtx& ctx) {
+    for (std::size_t idx : a.tiles_of(ctx.rank()))
+      a.put(ctx, a.tile_by_index(idx).coord, nullptr);
+  };
+  cl.run_phase("unarmed", touch);
+  EXPECT_EQ(cl.metrics().sum("fault.transient_ops"), 0.0);
+
+  runtime::FaultInjector inj(9);
+  runtime::FaultEvent ev;
+  ev.kind = runtime::FaultKind::TransientOp;
+  ev.phase = cl.phase_index();
+  ev.rank = 1;
+  inj.schedule(ev);
+  cl.install_faults(inj);
+  cl.run_phase("armed", touch);
+  EXPECT_EQ(cl.metrics().sum("fault.transient_ops"), 1.0);
+  EXPECT_EQ(cl.metrics().sum("retry.attempts"), 1.0);
+  EXPECT_EQ(cl.metrics().sum("ga.puts"), 4.0 + 4.0 + 1.0);  // + rank 0's
+}
