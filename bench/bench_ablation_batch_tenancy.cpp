@@ -19,11 +19,6 @@
 //      reproduces exactly the checksums of the same tenants run
 //      serially on fresh services. CI gates zero mismatches.
 //
-// --record-costs PATH appends a "batch" cost sample (shape = member
-// count, rate = whole-batch transforms/s) that the serve cost oracle
-// uses to price batch requests from measurement instead of the
-// planner's estimate.
-//
 // FOURINDEX_BENCH_SMOKE=1 shrinks the scan so the bench finishes in
 // seconds.
 #include <algorithm>
@@ -41,14 +36,11 @@
 #include "runtime/cluster.hpp"
 #include "runtime/machine.hpp"
 #include "serve/cost_oracle.hpp"
-#include "serve/cost_table.hpp"
 #include "serve/service.hpp"
 #include "util/format.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace fit;
-  const std::string costs_path = serve::record_costs_flag(&argc, argv);
-  serve::CostTable costs;
   obs::BenchReport report("bench_ablation_batch_tenancy");
 
   const bool smoke = std::getenv("FOURINDEX_BENCH_SMOKE") != nullptr;
@@ -154,10 +146,6 @@ int main(int argc, char** argv) {
                     batched.member_done_s.front());
   report.add_scalar("scan.batched.last_member_done_s",
                     batched.member_done_s.back());
-
-  if (!costs_path.empty() && batched.stats.sim_time > 0)
-    costs.add({"batch", k, k / batched.stats.sim_time,
-               "bench_ablation_batch_tenancy/unfused"});
 
   // ---- 2. multi-tenant fairness and quota adherence -----------------
   // Two tenants with equal aggregate work but different task shapes
@@ -289,8 +277,6 @@ int main(int argc, char** argv) {
             << ", replay mismatches "
             << fmt_fixed(member_mismatches + service_mismatches, 0) << "\n";
 
-  if (!costs_path.empty() && !costs.empty())
-    serve::record_costs(costs_path, costs);
   const std::string written = report.write();
   if (!written.empty()) std::cout << "bench JSON: " << written << "\n";
   return 0;

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Smoke-drive the persistent transform service end to end over its Unix
-# socket: start fourindex-serve, walk one request through each admission
-# verdict (admitted / degraded / rejected), prove the schedule cache
+# socket: start fourindex-serve, walk requests through each admission
+# verdict (admitted / queued / rejected), prove the schedule cache
 # replays a repeated request bit-identically, and shut the server down
 # so it emits its serve.* bench JSON for the CI gate.
 #
@@ -32,36 +32,51 @@ expect() { # expect <outcome> <response-json>
   [ "$got" = "$1" ] || { echo "expected outcome '$1', got: $2"; exit 1; }
 }
 
-# 1. Admitted: Hyperpolar fits 4 idle SystemA nodes at full fusion.
-#    plan_only holds the reservation so later requests see less memory.
-R1=$(ask '{"molecule":"Hyperpolar","nodes":4,"plan_only":true}')
+# release <ticket>: free a hold, then every hold its release drained
+# from the queue.
+release() {
+  local rsp t
+  rsp=$(ask "{\"verb\":\"release\",\"ticket\":$1}")
+  jq -e '.outcome == "released" and all(.ran[]; .outcome != "error")' \
+    <<<"$rsp" > /dev/null || { echo "release $1 failed: $rsp"; exit 1; }
+  for t in $(jq -r '.ran[] | select(.outcome == "admitted") | .ticket' \
+               <<<"$rsp"); do
+    release "$t"
+  done
+}
+
+# 1. Admitted: Hyperpolar fits 4 idle SystemA nodes. plan_only holds
+#    the fused-inner chain's aggregate peak (7.92 MB of 23.4 MB) so
+#    later requests see less memory.
+HOLD='{"molecule":"Hyperpolar","nodes":4,"plan_only":true}'
+R1=$(ask "$HOLD")
 expect admitted "$R1"
-TICKET=$(jq -r '.ticket' <<<"$R1")
+TICKETS=("$(jq -r '.ticket' <<<"$R1")")
 
-# 2. Degraded: keep reserving until the Thm 5.2 ladder walks down a
-#    level. The op1234 footprint is a big bite of the 4-node aggregate,
-#    so this happens within a handful of identical reservations.
-DEGRADED=
-LOOP_TICKETS=()
-for _ in $(seq 64); do
-  R=$(ask '{"molecule":"Hyperpolar","nodes":4,"plan_only":true}')
-  LOOP_TICKETS+=("$(jq -r '.ticket' <<<"$R")")
-  if [ "$(jq -r '.outcome' <<<"$R")" = degraded ]; then DEGRADED=1; break; fi
+# 2. Queued: keep holding until a hold no longer fits next to the
+#    others but would fit the idle machine — the third one.
+QUEUED=
+for _ in $(seq 8); do
+  R=$(ask "$HOLD")
+  if [ "$(jq -r '.outcome' <<<"$R")" = queued ]; then QUEUED=1; break; fi
   expect admitted "$R"
+  TICKETS+=("$(jq -r '.ticket' <<<"$R")")
 done
-[ -n "$DEGRADED" ] || { echo "never saw a degraded admission"; exit 1; }
+[ -n "$QUEUED" ] || { echo "never saw a queued admission"; exit 1; }
+[ "${#TICKETS[@]}" -eq 2 ] \
+  || { echo "expected the third hold to queue, got ${#TICKETS[@]} holds"; exit 1; }
 
-# 3. Rejected: a problem whose unfused footprint exceeds even an idle
-#    single SystemA node.
-expect rejected "$(ask '{"molecule":"custom","n":1024,"nodes":1,"plan_only":true}')"
+# 3. Rejected: every member's C stays resident for the whole run, and
+#    n = 1024's C alone exceeds an idle single SystemA node — rejected
+#    before any tile grid is walked.
+R=$(ask '{"molecule":"custom","n":1024,"nodes":1,"plan_only":true}')
+expect rejected "$R"
+jq -e '.error | startswith("exceeds the idle machine: every member'"'"'s C alone holds")' \
+  <<<"$R" > /dev/null || { echo "n = 1024 was not rejected by the C guard: $R"; exit 1; }
 
-# Drop the reservations the degraded walk piled up (keeping the first
-# hold for step 5) so the cache test below sees a mostly idle machine
-# instead of being queued behind ~20 MB of plan_only holds.
-for t in "${LOOP_TICKETS[@]}"; do
-  "$BIN" --socket "$SOCK" --request "{\"verb\":\"release\",\"ticket\":$t}" \
-    | jq -e '.outcome == "released"' > /dev/null
-done
+# Release every hold, and the queued one the first release drains, so
+# the cache test below sees an idle machine.
+for t in "${TICKETS[@]}"; do release "$t"; done
 
 # 4. Schedule cache: a repeated Real-mode request must hit the cache
 #    and reproduce the cold run's checksum bit for bit.
@@ -77,13 +92,10 @@ CK_WARM=$(jq -r '.result_checksum' <<<"$WARM")
 [ "$CK_COLD" = "$CK_WARM" ] && [ "$CK_COLD" != 0 ] \
   || { echo "cache replay is not bit-identical: $CK_COLD vs $CK_WARM"; exit 1; }
 
-# 5. Release the first hold; the stats verb must expose the serve.*
-#    registry as JSON.
-"$BIN" --socket "$SOCK" --request "{\"verb\":\"release\",\"ticket\":$TICKET}" \
-  | jq -e '.outcome == "released"' > /dev/null
+# 5. The stats verb must expose the serve.* registry as JSON.
 ask '{"verb":"stats"}' | jq -e '
     .["serve.admitted"].sum >= 1
-    and .["serve.degraded"].sum >= 1
+    and .["serve.queued"].sum >= 1
     and .["serve.rejected"].sum >= 1
     and .["serve.cache_hits"].sum >= 1
   ' > /dev/null || { echo "stats verb gate failed"; exit 1; }
@@ -101,7 +113,7 @@ jq -e '
     .schema == "fourindex.bench/1"
     and ([.scalars[] | type == "number"] | all)
     and .metrics.serve["serve.admitted"].sum >= 1
-    and .metrics.serve["serve.degraded"].sum >= 1
+    and .metrics.serve["serve.queued"].sum >= 1
     and .metrics.serve["serve.rejected"].sum >= 1
     and .metrics.serve["serve.cache_hits"].sum >= 1
     and .metrics.serve["serve.des_skips"].sum >= 1

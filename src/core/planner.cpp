@@ -16,8 +16,6 @@ Plan plan_fusion(double n, double s, double fast_memory_elements) {
               "bad planner arguments");
   Plan plan;
   plan.fast_memory_elements = fast_memory_elements;
-  plan.n = n;
-  plan.s = s;
   auto rows = bounds::analyze_fusion_choices(n, s);
   for (const auto& r : rows) {
     PlanEntry e;
@@ -50,23 +48,6 @@ Plan plan_fusion(double n, double s, double fast_memory_elements) {
   FIT_REQUIRE(found, "no feasible fusion configuration: fast memory "
                          << human_count(fast_memory_elements)
                          << " elements is below even the unfused need");
-  return plan;
-}
-
-Plan replan_fusion(const Plan& previous, double new_fast_memory_elements) {
-  FIT_REQUIRE(previous.n >= 2, "previous plan carries no problem size");
-  Plan plan =
-      plan_fusion(previous.n, previous.s, new_fast_memory_elements);
-  if (plan.selected != previous.selected) {
-    for (auto& e : plan.entries) {
-      if (e.choice != plan.selected) continue;
-      e.note = "degraded: " + bounds::to_string(previous.selected) +
-               " -> " + bounds::to_string(plan.selected) +
-               " after capacity loss (S " +
-               human_count(previous.fast_memory_elements) + " -> " +
-               human_count(new_fast_memory_elements) + " elements)";
-    }
-  }
   return plan;
 }
 
@@ -113,7 +94,7 @@ ClusterPlan plan_for_cluster(const Problem& p,
   // spread over aggregate compute, plus the configuration's I/O lower
   // bound over aggregate injection bandwidth. Deliberately optimistic
   // (a lower-bound-shaped estimate, like everything in this planner) —
-  // it orders admission queues, it does not promise wall clocks.
+  // it does not promise wall clocks.
   const double ranks = static_cast<double>(m.n_ranks());
   const double n5 = n * n * n * n * n;
   const double agg_flops = m.flops_per_rank * ranks;
@@ -131,8 +112,7 @@ ClusterPlan plan_for_cluster(const Problem& p,
 
 BatchPlan plan_batch(const Problem& p,
                      const runtime::MachineConfig& machine,
-                     std::size_t n_members, Chain chain,
-                     const PlanRates& rates) {
+                     std::size_t n_members, const PlanRates& rates) {
   const runtime::MachineConfig m = apply_rates(machine, rates);
   BatchPlan bp;
   bp.n_members = n_members == 0 ? 1 : n_members;
@@ -150,15 +130,13 @@ BatchPlan plan_batch(const Problem& p,
   bp.est_seconds_shared =
       a / (m.integrals_per_sec * ranks) + 8.0 * a / agg_net;
 
-  // Per-member work: the contraction chain's flops and I/O at the
-  // effective rates (same lower-bound shape as plan_for_cluster).
-  const bool unfused = chain == Chain::Unfused;
+  // Per-member work: the fused-inner chain's flops and I/O at the
+  // effective rates (same lower-bound shape as plan_for_cluster's
+  // fused estimate).
   const double n5 = n * n * n * n * n;
   const double agg_flops = m.flops_per_rank * ranks;
-  const double io = bounds::io_opt(
-      unfused ? FusionChoice::Unfused : FusionChoice::Fused1234, n, s);
-  bp.est_seconds_per_member =
-      (unfused ? 3.0 : 4.5) * n5 / agg_flops + 8.0 * io / agg_net;
+  const double io = bounds::io_opt(FusionChoice::Fused1234, n, s);
+  bp.est_seconds_per_member = 4.5 * n5 / agg_flops + 8.0 * io / agg_net;
 
   bp.est_seconds_batched =
       bp.est_seconds_shared + members * bp.est_seconds_per_member;

@@ -23,8 +23,8 @@
 
 #include "bounds/transform_bounds.hpp"
 #include "core/problem.hpp"
-#include "core/schedules_par.hpp"
 #include "ga/task_counter.hpp"
+#include "runtime/cluster.hpp"
 #include "runtime/machine.hpp"
 
 /// \file
@@ -58,24 +58,12 @@ struct Plan {
   bounds::FusionChoice selected;
   /// Fast-memory budget (elements) the plan was made against.
   double fast_memory_elements;
-  /// Problem extent the plan was made for.
-  double n = 0;
-  /// Spatial symmetry factor the plan was made for.
-  double s = 1;
 };
 
 /// Analyze all fusion configurations for extent n, spatial factor s,
 /// against a fast memory of `fast_memory_elements`, and select the
 /// best feasible one.
 Plan plan_fusion(double n, double s, double fast_memory_elements);
-
-/// Graceful degradation: re-plan `previous` against a reduced fast
-/// memory (a capacity-shrink fault or rank death lowered S). Selection
-/// walks Theorem 5.2's total order downward exactly when the capacity
-/// conditions (Thm 5.1 / Thm 6.2) stop holding; the selected entry's
-/// note records any downgrade. Throws like plan_fusion when even the
-/// unfused transform no longer fits.
-Plan replan_fusion(const Plan& previous, double new_fast_memory_elements);
 
 /// Effective machine rates the time-aware planner prices work at.
 /// Zero fields mean "take the MachineConfig's nominal rate"; the
@@ -116,8 +104,8 @@ struct ClusterPlan {
   /// Coarse transform-time estimates (seconds) at the rates the plan
   /// was priced with: symmetry-packed flop volume over aggregate
   /// compute plus the I/O lower bound over injection bandwidth. The
-  /// serve admission controller orders its queue and reports expected
-  /// cost from these.
+  /// service prices requests with plan_batch instead; perfbench's
+  /// planner.plan_ms still times this function.
   double est_seconds_unfused = 0;
   double est_seconds_fused = 0;
   /// Where the pricing rates came from ("nominal" or "measured").
@@ -133,13 +121,12 @@ ClusterPlan plan_for_cluster(const Problem& p,
                              std::size_t tile_l, const PlanRates& rates = {});
 
 /// Time estimates for a shared-basis batch of `n_members` transforms
-/// (the serve layer's `batch` requests) run through one chain: the
-/// member-invariant work, what each member adds, and the
-/// batched-vs-sequential totals the admission controller and the
-/// throughput bench report. Like everything in this planner the
-/// estimates are lower-bound-shaped: they order queues and justify
-/// batching, they do not promise wall clocks. What the batch needs in
-/// memory is core::check_capacity's answer.
+/// run through the fused-inner chain, the one the serve layer runs (a
+/// solo request is the batch of one): the member-invariant work, what
+/// each member adds, and the batched-vs-sequential totals. Like
+/// everything in this planner the estimates are lower-bound-shaped:
+/// they do not promise wall clocks. What the batch needs in memory is
+/// core::check_capacity's answer.
 struct BatchPlan {
   /// Members the plan was made for.
   std::size_t n_members = 1;
@@ -158,13 +145,12 @@ struct BatchPlan {
   std::string rate_source = "nominal";
 };
 
-/// Evaluate the shared-basis batch plan for `n_members` transforms of
-/// problem `p` run through `chain` on a machine, priced at explicit
-/// effective rates.
+/// Evaluate the shared-basis batch plan for `n_members` fused-inner
+/// transforms of problem `p` on a machine, priced at explicit effective
+/// rates.
 BatchPlan plan_batch(const Problem& p,
                      const runtime::MachineConfig& machine,
-                     std::size_t n_members, Chain chain,
-                     const PlanRates& rates = {});
+                     std::size_t n_members, const PlanRates& rates = {});
 
 /// Render a plan as a printable table (used by examples/benches).
 std::string to_string(const Plan& plan);

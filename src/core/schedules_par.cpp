@@ -88,6 +88,9 @@ struct Grid {
   Grid(const Problem& p, std::size_t tile)
       : t(Tiling::irrep_aligned(p.irreps, std::min(tile, p.n()))),
         nt(t.ntiles()) {
+    FIT_REQUIRE(p.irreps.order() <= 32,
+                "tile masks hold at most 32 irreps, not "
+                    << p.irreps.order());
     irrep_mask.assign(nt, 0);
     for (std::size_t ti = 0; ti < nt; ++ti)
       for (std::size_t o = t.lo(ti); o < t.hi(ti); ++o)

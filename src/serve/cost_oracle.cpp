@@ -53,16 +53,4 @@ core::PlanRates CostOracle::rates(const runtime::MachineConfig& nominal,
   return r;
 }
 
-double CostOracle::estimate_gemm_s(const runtime::MachineConfig& nominal,
-                                   double m, double k, double n) const {
-  const double flops = 2.0 * m * k * n;
-  return flops / rate_or_nominal("gemm", flops, nominal.flops_per_rank);
-}
-
-double CostOracle::batch_transforms_per_s(std::size_t members) const {
-  const double shape = static_cast<double>(members);
-  if (!table_.has_bucket("batch", shape)) return 0.0;
-  return table_.estimate_rate("batch", shape).value_or(0.0);
-}
-
 }  // namespace fit::serve

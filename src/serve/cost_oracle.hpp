@@ -47,19 +47,6 @@ class CostOracle {
   core::PlanRates rates(const runtime::MachineConfig& nominal, double n,
                         std::size_t tile) const;
 
-  /// Seconds for one m x k x n GEMM (2mkn flops) at the measured rate,
-  /// the machine's nominal rate when the bucket is missing (counted).
-  double estimate_gemm_s(const runtime::MachineConfig& nominal, double m,
-                         double k, double n) const;
-
-  /// Measured whole-batch throughput (transforms per second) for a
-  /// shared-basis batch of `members` transforms — kind "batch", shape
-  /// = member count, recorded by the batch-tenancy bench. Returns 0
-  /// when the table has no bucket within a decade of `members`:
-  /// absence means "price the batch from core::plan_batch's estimate",
-  /// not a fallback worth warning about, so nothing is counted.
-  double batch_transforms_per_s(std::size_t members) const;
-
   /// True when the oracle carries any measurements at all.
   bool measured() const { return !table_.empty(); }
   /// Nominal-rate substitutions performed so far (missing buckets).

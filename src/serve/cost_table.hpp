@@ -13,9 +13,7 @@
 //   }
 // Kinds in use: "gemm" (shape = flop volume 2mnk, rate = flop/s per
 // rank), "link" (shape = message bytes, rate = effective bytes/s per
-// rank), "integrals" (shape = orbital extent n, rate = evals/s),
-// "batch" (shape = shared-basis batch member count, rate = whole-batch
-// transforms/s as measured by the batch-tenancy bench).
+// rank), "integrals" (shape = orbital extent n, rate = evals/s).
 #pragma once
 
 #include <cstddef>

@@ -110,7 +110,11 @@ std::string Server::handle_line(const std::string& line) {
   if (doc.is_object()) {
     if (const auto* v = doc.find("verb"); v && v->is_string())
       verb = v->as_string();
-    if (const auto* t = doc.find("ticket"); t && t->is_number())
+    // Tickets start at 1; a number outside [1, 2^64) stays 0, which
+    // no reservation holds, rather than reaching the cast.
+    if (const auto* t = doc.find("ticket");
+        t && t->is_number() && t->as_number() >= 1 &&
+        t->as_number() < 0x1p64)
       ticket = static_cast<std::uint64_t>(t->as_number());
   }
 

@@ -1,6 +1,7 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 #include <utility>
 
@@ -8,6 +9,7 @@
 #include "core/problem.hpp"
 #include "runtime/cluster.hpp"
 #include "util/error.hpp"
+#include "util/format.hpp"
 #include "util/hash.hpp"
 #include "util/logging.hpp"
 #include "util/parse.hpp"
@@ -44,26 +46,17 @@ core::Problem problem_for(const Request& r) {
   return core::make_problem(chem::paper_molecule(r.molecule));
 }
 
-/// The chain a fusion verdict runs: op1/2/3/4 the unfused chain, every
-/// fused level the fused-inner schedule.
-core::Chain chain_for(bounds::FusionChoice f) {
-  return f == bounds::FusionChoice::Unfused ? core::Chain::Unfused
-                                            : core::Chain::FusedInner;
-}
-
-double selected_need_bytes(const core::Plan& plan) {
-  for (const auto& e : plan.entries)
-    if (e.choice == plan.selected) return 8.0 * e.min_fast_memory;
-  return 0;  // unreachable: plan_fusion always annotates the winner
-}
-
 const char* kCounters[] = {
-    "serve.requests",  "serve.admitted",     "serve.degraded",
-    "serve.queued",    "serve.rejected",     "serve.errors",
-    "serve.cache_hits", "serve.cache_misses", "serve.des_skips",
-    "serve.released",  "serve.executed",     "serve.batch_requests",
-    "serve.batch_members", "serve.quota_rejected",
+    "serve.requests",   "serve.admitted",     "serve.queued",
+    "serve.rejected",   "serve.errors",       "serve.cache_hits",
+    "serve.cache_misses", "serve.des_skips",  "serve.released",
+    "serve.executed",   "serve.batch_requests", "serve.batch_members",
+    "serve.quota_rejected",
 };
+
+// Size fields lie below 2^64: converting a double outside [0, 2^64) to
+// std::size_t is undefined.
+constexpr double kSizeLimit = 0x1p64;
 
 }  // namespace
 
@@ -85,12 +78,12 @@ Request parse_request(const obs::json::Value& v) {
   auto get_size = [&](const char* key, std::size_t& into) {
     const auto* f = v.find(key);
     if (!f) return;
-    if (!f->is_number() || !(f->as_number() >= 1) ||
-        f->as_number() != static_cast<double>(
-                              static_cast<std::size_t>(f->as_number())))
+    // Range first, then the cast.
+    const double x = f->is_number() ? f->as_number() : 0.0;
+    if (!(x >= 1 && x < kSizeLimit) || x != std::floor(x))
       throw ParseError(std::string("field '") + key +
                        "' must be a positive number");
-    into = static_cast<std::size_t>(f->as_number());
+    into = static_cast<std::size_t>(x);
   };
   auto get_bool = [&](const char* key, bool& into) {
     const auto* f = v.find(key);
@@ -118,6 +111,9 @@ Request parse_request(const obs::json::Value& v) {
     r.custom_n = n;
     std::size_t s = 1;
     get_size("irrep_order", s);
+    // The schedules' tile masks carry one bit per irrep in 32 bits.
+    if (s > 32 || (s & (s - 1)) != 0)
+      throw ParseError("field 'irrep_order' must be a power of two <= 32");
     r.custom_s = static_cast<unsigned>(s);
   } else {
     bool known = false;
@@ -135,7 +131,6 @@ Request parse_request(const obs::json::Value& v) {
 const char* to_string(Admission a) {
   switch (a) {
     case Admission::Admitted: return "admitted";
-    case Admission::Degraded: return "degraded";
     case Admission::Queued:   return "queued";
     case Admission::Rejected: return "rejected";
     case Admission::Error:    return "error";
@@ -256,12 +251,10 @@ Response TransformService::admit_and_run(const Request& r, bool from_queue) {
   rsp.tenant = r.tenant;
   const core::Problem p = problem_for(r);
   const runtime::MachineConfig nominal = machine_for(r);
-  const double n = static_cast<double>(p.n());
-  const double s = static_cast<double>(p.irreps.order());
   const double total_bytes = nominal.aggregate_memory_bytes();
 
   // The memory this tenant could ever see: the idle machine, capped by
-  // its quota. The ladder never hands one tenant another's share.
+  // its quota.
   const bool quota_active = opt_.tenant_quota_bytes > 0;
   const double idle_bytes =
       quota_active ? std::min(total_bytes, opt_.tenant_quota_bytes)
@@ -273,10 +266,9 @@ Response TransformService::admit_and_run(const Request& r, bool from_queue) {
   if (quota_active)
     avail_bytes = std::min(
         avail_bytes, opt_.tenant_quota_bytes - tenant_reserved(r.tenant));
-  const double idle_elems = idle_bytes / 8.0;
-  const double avail_elems = avail_bytes / 8.0;
 
-  const core::PlanRates rates = oracle_.rates(nominal, n, r.tile);
+  const core::PlanRates rates =
+      oracle_.rates(nominal, static_cast<double>(p.n()), r.tile);
   const std::uint64_t key = fingerprint(r, rates.source);
 
   // Whether a cap on idle_bytes is the quota's rather than the machine's.
@@ -291,63 +283,40 @@ Response TransformService::admit_and_run(const Request& r, bool from_queue) {
     return rsp;
   };
 
-  // Unconstrained plan: what the Thm 5.2 order picks on the machine
-  // this tenant could ever have. Failing here means the request can
-  // never run: Rejected.
-  core::Plan full;
-  try {
-    full = core::plan_fusion(n, s, idle_elems);
-  } catch (const Error& e) {
-    return reject(e.what(), quota_cap);
-  }
+  // Every member's C stays resident for the whole run, so a request
+  // whose C alone exceeds what this tenant could ever hold is rejected
+  // before the capacity check walks a tile grid.
+  const double c_bytes = 8.0 * static_cast<double>(p.sizes().c) *
+                         static_cast<double>(r.batch);
+  if (c_bytes > idle_bytes)
+    return reject("every member's C alone holds " + human_bytes(c_bytes),
+                  quota_cap);
 
-  // The chain a verdict runs must fit every rank of the idle machine
-  // (core::check_capacity). That depends on the request alone, so each
-  // fingerprint checks each chain once.
-  auto capacity = [&](core::Chain chain) -> const core::CapacityCheck& {
-    const auto k = util::fnv1a_u64(static_cast<std::uint64_t>(chain), key);
-    if (!capacity_checks_.contains(k)) {
-      core::ParOptions o;
-      o.tile = r.tile;
-      o.tile_l = r.tile_l;
-      capacity_checks_[k] = core::check_capacity(
-          p, chain, r.batch, o, core::CapacityView::idle(nominal));
-    }
-    return capacity_checks_.at(k);
-  };
-  const core::CapacityCheck& fit = capacity(chain_for(full.selected));
+  // The chain must fit every rank of the idle machine. That depends on
+  // the request alone, so each fingerprint is checked once.
+  auto at = capacity_checks_.find(key);
+  if (at == capacity_checks_.end()) {
+    core::ParOptions o;
+    o.tile = r.tile;
+    o.tile_l = r.tile_l;
+    at = capacity_checks_
+             .emplace(key, core::check_capacity(
+                               p, core::Chain::FusedInner, r.batch, o,
+                               core::CapacityView::idle(nominal)))
+             .first;
+  }
+  const core::CapacityCheck& fit = at->second;
   if (!fit.fits) return reject(core::to_string(fit), false);
-  // A batch reserves its chain's aggregate peak: under fused-inner
-  // every member's C stays resident.
-  double batch_need = r.batch > 1 ? fit.aggregate_peak_bytes : 0.0;
-  if (batch_need > idle_bytes)
-    return reject("the batch's aggregate peak exceeds it", quota_cap);
+  // The reservation: what the chain holds at its peak, summed over the
+  // ranks. It fits the idle machine whenever every rank does, so only a
+  // quota can refuse it here.
+  const double need = fit.aggregate_peak_bytes;
+  if (need > idle_bytes)
+    return reject("the chain peaks at " + human_bytes(need) +
+                      " in aggregate",
+                  quota_cap);
 
-  // Constrained plan: the same ladder against what is actually free
-  // for this tenant. A downgrade is a Degraded admission; not even
-  // unfused fitting is the queue/reject boundary.
-  core::Plan now;
-  bool fits = avail_elems >= 1 && batch_need <= avail_bytes;
-  bool degraded = false;
-  if (fits) {
-    try {
-      now = avail_elems + 0.5 < idle_elems
-                ? core::replan_fusion(full, avail_elems)
-                : full;
-      degraded = now.selected != full.selected;
-    } catch (const Error&) {
-      fits = false;
-    }
-  }
-  // A downgrade to op1/2/3/4 runs the unfused chain, which must fit the
-  // idle machine as well; if it does not, the request waits for a
-  // release that restores the undegraded verdict.
-  if (fits && chain_for(now.selected) != chain_for(full.selected)) {
-    const core::CapacityCheck& alt = capacity(chain_for(now.selected));
-    if (r.batch > 1) batch_need = alt.aggregate_peak_bytes;
-    fits = alt.fits && batch_need <= avail_bytes;
-  }
-  if (!fits) {
+  if (need > avail_bytes) {
     if (from_queue || queue_.size() >= opt_.queue_depth) {
       rsp.admission = Admission::Rejected;
       rsp.error = from_queue ? "still blocked by reservations"
@@ -362,76 +331,48 @@ Response TransformService::admit_and_run(const Request& r, bool from_queue) {
     rsp.note = quota_active
                    ? "fits the tenant's idle share; waiting for a release"
                    : "fits the idle machine; waiting for a release";
-    queue_.push_back(
-        {rsp.ticket, r,
-         std::max(selected_need_bytes(full), batch_need)});
+    queue_.push_back({rsp.ticket, r, need});
     reg_->add(reg_->counter("serve.queued"), 0, 1);
     return rsp;
   }
 
-  rsp.admission = degraded ? Admission::Degraded : Admission::Admitted;
-  rsp.fusion = bounds::to_string(now.selected);
-  if (degraded) {
-    for (const auto& e : now.entries)
-      if (e.choice == now.selected) rsp.note = e.note;
-    reg_->add(reg_->counter("serve.degraded"), 0, 1);
-  } else {
-    reg_->add(reg_->counter("serve.admitted"), 0, 1);
-  }
-
-  // Schedule cache: measured rates + the cluster plan + the balance
-  // memo, keyed on the request fingerprint (which folds the batch
-  // width — a batch's phase shapes differ from a solo run's). The
-  // admission ladder above always runs (it depends on live
-  // reservations); the cache is what lets a warm request skip the
-  // cluster re-plan and the per-phase DES.
-  auto it = cache_.find(key);
-  rsp.cache_hit = it != cache_.end();
-  reg_->add(reg_->counter(rsp.cache_hit ? "serve.cache_hits"
-                                      : "serve.cache_misses"),
-           0, 1);
-  if (!rsp.cache_hit) {
-    CacheEntry fresh;
-    fresh.rates = rates;
-    fresh.plan = core::plan_for_cluster(p, nominal, r.tile_l, rates);
-    it = cache_.emplace(key, std::move(fresh)).first;
-  }
-  CacheEntry& entry = it->second;
-  const double need_bytes = std::max(selected_need_bytes(now), batch_need);
-  rsp.rate_source = entry.rates.source;
-  rsp.est_seconds = now.selected == bounds::FusionChoice::Unfused
-                        ? entry.plan.est_seconds_unfused
-                        : entry.plan.est_seconds_fused;
+  rsp.admission = Admission::Admitted;
+  rsp.fusion = "fused-inner";
+  reg_->add(reg_->counter("serve.admitted"), 0, 1);
+  // The planner's amortized estimate for the batch (a solo request is
+  // the batch of one).
+  rsp.rate_source = rates.source;
+  rsp.est_seconds =
+      core::plan_batch(p, nominal, r.batch, rates).est_seconds_batched;
   if (r.batch > 1) {
     reg_->add(reg_->counter("serve.batch_requests"), 0, 1);
     reg_->add(reg_->counter("serve.batch_members"), 0,
              static_cast<double>(r.batch));
-    // The planner's amortized estimate for the chain the batch runs,
-    // upgraded to the bench-measured batch throughput when the cost
-    // table carries a bucket.
-    rsp.est_seconds = core::plan_batch(p, nominal, r.batch,
-                                       chain_for(now.selected), rates)
-                          .est_seconds_batched;
-    if (const double tps = oracle_.batch_transforms_per_s(r.batch);
-        tps > 0)
-      rsp.est_seconds = static_cast<double>(r.batch) / tps;
   }
+
+  // Schedule cache: the balance memo, keyed on the request fingerprint
+  // (which folds the batch width — a batch's phase shapes differ from
+  // a solo run's). A warm request replays its per-phase DES picks.
+  auto [memo, miss] = cache_.try_emplace(key);
+  rsp.cache_hit = !miss;
+  reg_->add(reg_->counter(rsp.cache_hit ? "serve.cache_hits"
+                                      : "serve.cache_misses"),
+           0, 1);
 
   if (r.plan_only) {
     rsp.ticket = next_ticket_++;
-    holds_.push_back({rsp.ticket, r, need_bytes});
-    reserved_bytes_ += need_bytes;
-    tenant_reserved_[r.tenant] += need_bytes;
+    holds_.push_back({rsp.ticket, r, need});
+    reserved_bytes_ += need;
+    tenant_reserved_[r.tenant] += need;
     return rsp;
   }
-  return run(r, entry, std::move(rsp));
+  return run(r, rates, memo->second, std::move(rsp));
 }
 
-Response TransformService::run(const Request& r, CacheEntry& entry,
-                               Response rsp) {
+Response TransformService::run(const Request& r, const core::PlanRates& rates,
+                               core::BalanceCache& memo, Response rsp) {
   const core::Problem p = problem_for(r);
-  const runtime::MachineConfig eff =
-      core::apply_rates(machine_for(r), entry.rates);
+  const runtime::MachineConfig eff = core::apply_rates(machine_for(r), rates);
   runtime::Cluster cl(eff, r.real ? runtime::ExecutionMode::Real
                                   : runtime::ExecutionMode::Simulate);
   core::ParOptions o;
@@ -439,20 +380,16 @@ Response TransformService::run(const Request& r, CacheEntry& entry,
   o.tile_l = r.tile_l;
   o.balance = *ga::parse_balance(r.balance);
   o.gather_result = r.real;
-  o.balance_cache = &entry.balance_memo;
-  const std::size_t des_hits0 = entry.balance_memo.hits;
+  o.balance_cache = &memo;
+  const std::size_t des_hits0 = memo.hits;
 
-  const bool unfused =
-      rsp.fusion == bounds::to_string(bounds::FusionChoice::Unfused);
   rsp.balance = r.balance;
-  // A solo request is the batch of one. A batch fills A once and runs
-  // every member's chain; its response checksum is the FNV fold of the
-  // member checksums, so a client (or the replay gate) can reproduce it
-  // from solo runs.
+  // A batch fills A once and runs every member's chain; its response
+  // checksum is the FNV fold of the member checksums, so a client (or
+  // the replay gate) can reproduce it from solo runs.
   const auto member_b = core::batch_member_bs(p, r.batch);
   const core::BatchParResult res =
-      unfused ? core::batched_unfused_par_transform(p, member_b, cl, o)
-              : core::batched_fused_inner_par_transform(p, member_b, cl, o);
+      core::batched_fused_inner_par_transform(p, member_b, cl, o);
   rsp.sim_seconds = res.stats.sim_time;
   if (r.real && r.batch == 1) {
     rsp.result_checksum = result_checksum(*res.c.front());
@@ -466,7 +403,7 @@ Response TransformService::run(const Request& r, CacheEntry& entry,
   }
   reg_->add(reg_->counter("serve.executed"), 0, 1);
   reg_->add(reg_->counter("serve.des_skips"), 0,
-           static_cast<double>(entry.balance_memo.hits - des_hits0));
+           static_cast<double>(memo.hits - des_hits0));
   return rsp;
 }
 

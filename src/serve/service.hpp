@@ -1,24 +1,25 @@
 // The persistent transform service: parse a request, admit it against
-// the machine's aggregate-memory bounds (walking the Thm 5.2 fusion
-// ladder via core::replan_fusion), plan it at the cost oracle's
-// measured rates, and execute it — with a schedule cache so a repeated
-// identical request skips both the cluster re-plan and the per-phase
-// balance DES.
+// what its chain will hold, price it at the cost oracle's measured
+// rates, and execute it — with a schedule cache so a repeated identical
+// request skips the per-phase balance DES.
 //
-// Admission is a four-way verdict:
-//   admitted   fits the available aggregate memory at the fusion level
-//              an unconstrained plan would pick;
-//   degraded   fits only after walking down the Thm 5.2 order (the
-//              replan_fusion path capacity faults already use);
-//   queued     does not fit next to the currently reserved work but
-//              would fit an idle machine — parked FIFO up to the
-//              configured queue depth (FOURINDEX_SERVE_QUEUE);
-//   rejected   exceeds even the idle machine at the most degraded
-//              level, or the queue is full.
+// Every request runs one chain, fused-inner, and a solo request is the
+// batch of one. Admission checks that chain per rank on the idle
+// machine (core::check_capacity, once per request fingerprint) and
+// reserves the check's aggregate peak. Three verdicts:
+//   admitted   the peak fits the live remainder: the machine's
+//              unreserved bytes, capped by the tenant's unreserved
+//              quota;
+//   queued     it fits the idle machine (and the quota) but not the
+//              live remainder — parked up to the configured queue
+//              depth (FOURINDEX_SERVE_QUEUE) and retried on every
+//              release;
+//   rejected   some rank of the idle machine cannot hold its share,
+//              the peak exceeds the quota, or the queue is full.
 //
-// Memory accounting: executing and plan-only requests reserve their
-// selected configuration's aggregate need until they finish (are
-// released); queued requests wait for a release to retry.
+// Memory accounting: plan-only requests hold their reservation until
+// they are released; executing requests run to completion before the
+// next request is admitted, so they hold none.
 #pragma once
 
 #include <cstddef>
@@ -50,10 +51,9 @@ struct Request {
   std::size_t tile_l = 8;               ///< L-dimension tile extent.
   bool real = false;       ///< Real execution (checksummed) vs Simulate.
   bool plan_only = false;  ///< Admit + reserve, do not execute.
-  /// Shared-basis batch width: members > 1 run the batched schedules
-  /// (core::batched_*_par_transform), paying the AO integral fill once
-  /// and charging admission for the batch's aggregate peak
-  /// (core::plan_batch).
+  /// Shared-basis batch width: the members run through one fused-inner
+  /// schedule (core::batched_fused_inner_par_transform), paying the AO
+  /// integral fill once; 1 = a solo request, the batch of one.
   std::size_t batch = 1;
   /// Submitting tenant. Admission charges this tenant's reservations
   /// against Options::tenant_quota_bytes, and the queue drain rotates
@@ -66,18 +66,18 @@ struct Request {
 /// stable taxonomy: "request is not a JSON object", "missing string
 /// field '...'", "unknown molecule '...'", "unknown system '...'",
 /// "unknown balance mode '...'", "field '...' must be a positive
-/// number", "custom molecule needs field 'n' >= 2".
+/// number", "custom molecule needs field 'n' >= 2", "field
+/// 'irrep_order' must be a power of two <= 32".
 Request parse_request(const obs::json::Value& v);
 
 /// The admission controller's verdict.
 enum class Admission {
-  Admitted,  ///< Fits available memory at the unconstrained fusion.
-  Degraded,  ///< Fits after walking down the Thm 5.2 fusion order.
+  Admitted,  ///< The chain's peak fits the live remainder.
   Queued,    ///< Fits an idle machine; parked until a release.
   Rejected,  ///< Exceeds the idle machine, or the queue is full.
   Error      ///< Malformed request; see Response::error.
 };
-/// Wire spelling of a verdict ("admitted", "degraded", ...).
+/// Wire spelling of a verdict ("admitted", "queued", ...).
 const char* to_string(Admission a);
 
 /// One response line of the NDJSON protocol.
@@ -85,7 +85,7 @@ struct Response {
   Admission admission = Admission::Error;  ///< The verdict.
   bool cache_hit = false;  ///< Schedule cache replayed this plan.
   std::uint64_t ticket = 0;      ///< Reservation/queue handle (0 = none).
-  std::string fusion;            ///< Fusion level the plan selected.
+  std::string fusion;            ///< The chain that runs: "fused-inner".
   std::string balance;           ///< Balance mode the request ran with.
   std::string rate_source;       ///< "measured" or "nominal".
   double est_seconds = 0;        ///< Planner estimate at those rates.
@@ -94,19 +94,19 @@ struct Response {
                                  ///< batch folds its members' folds).
   std::size_t batch = 1;         ///< Shared-basis batch width echoed back.
   std::string tenant;            ///< Submitting tenant echoed back.
-  std::string note;              ///< Degradation rationale, cache info.
+  std::string note;              ///< Why a request waits (queued).
   std::string error;             ///< Non-empty for Rejected / Error.
 
   /// The response as a JSON object, ready for one NDJSON line.
   obs::json::Value to_json() const;
 };
 
-/// The persistent service: admission control over the Thm 5.2 fusion
-/// ladder (per tenant, against remaining aggregate memory and the
-/// tenant's quota), oracle-rated planning, a schedule cache keyed per
-/// batch fingerprint, and a queue of waiting requests drained
-/// round-robin across tenants (plain FIFO when only one tenant is
-/// present).
+/// The persistent service: admission by the fused-inner chain's
+/// per-rank capacity check and aggregate peak (per tenant, against the
+/// unreserved machine and the tenant's quota), oracle-rated pricing, a
+/// schedule cache keyed per batch fingerprint, and a queue of waiting
+/// requests drained round-robin across tenants (plain FIFO when only
+/// one tenant is present).
 class TransformService {
  public:
   /// Tunables not carried per-request.
@@ -159,9 +159,9 @@ class TransformService {
   /// The per-tenant reservation cap in force (0 = uncapped).
   double tenant_quota_bytes() const { return opt_.tenant_quota_bytes; }
 
-  /// serve.* counters/gauges: requests, admitted, degraded, queued,
-  /// rejected, errors, cache_hits, cache_misses, des_skips,
-  /// oracle_fallbacks, released, reserved_bytes, queue_depth.
+  /// serve.* counters/gauges: requests, admitted, queued, rejected,
+  /// errors, cache_hits, cache_misses, des_skips, oracle_fallbacks,
+  /// released, reserved_bytes, queue_depth.
   obs::MetricsRegistry& metrics() { return *reg_; }
   /// Read-only view of the serve.* counters.
   const obs::MetricsRegistry& metrics() const { return *reg_; }
@@ -170,12 +170,6 @@ class TransformService {
   const CostOracle& oracle() const { return oracle_; }
 
  private:
-  struct CacheEntry {
-    core::ClusterPlan plan;
-    core::PlanRates rates;
-    core::BalanceCache balance_memo;
-  };
-
   struct Ticketed {
     std::uint64_t ticket;
     Request request;
@@ -186,7 +180,8 @@ class TransformService {
   Response admit_and_run(const Request& r, bool from_queue);
   /// The taxonomy reply to `e`, echoing what `req` (if it parsed) asked.
   Response failed(const Error& e, const Request* req);
-  Response run(const Request& r, CacheEntry& entry, Response rsp);
+  Response run(const Request& r, const core::PlanRates& rates,
+               core::BalanceCache& memo, Response rsp);
 
   CostOracle oracle_;
   Options opt_;
@@ -194,9 +189,10 @@ class TransformService {
   /// mutex) and the oracle's registry pointer survives moves.
   std::unique_ptr<obs::MetricsRegistry> reg_ =
       std::make_unique<obs::MetricsRegistry>(1);
-  std::unordered_map<std::uint64_t, CacheEntry> cache_;
-  /// core::check_capacity verdicts on the idle machine, per fingerprint
-  /// and chain.
+  /// The schedule cache: per-phase balance picks of each fingerprint's
+  /// earlier runs.
+  std::unordered_map<std::uint64_t, core::BalanceCache> cache_;
+  /// core::check_capacity verdicts on the idle machine, per fingerprint.
   std::unordered_map<std::uint64_t, core::CapacityCheck> capacity_checks_;
   std::deque<Ticketed> queue_;
   std::vector<Ticketed> holds_;

@@ -81,7 +81,7 @@ TEST(Planner, ClusterPlanHybridDecision) {
 TEST(Planner, BatchPlanAmortizesSharedWork) {
   auto p = core::make_problem(chem::custom_molecule("plan", 46, 8, 1));
   auto big = runtime::system_b(18);
-  auto bp = core::plan_batch(p, big, 6, core::Chain::Unfused);
+  auto bp = core::plan_batch(p, big, 6);
   EXPECT_EQ(bp.n_members, 6u);
   EXPECT_TRUE(idle_check(p, core::Chain::Unfused, 6, big).fits);
   // The shared A fill is paid once, so batched strictly beats running
@@ -114,7 +114,7 @@ TEST(Planner, BatchPlanFusedPeakGrowsPerMember) {
   core::PlanRates rates;
   rates.source = "measured";
   rates.flops_per_rank = 2e9;
-  auto bpm = core::plan_batch(p, small, 4, core::Chain::FusedInner, rates);
+  auto bpm = core::plan_batch(p, small, 4, rates);
   EXPECT_EQ(bpm.rate_source, "measured");
 }
 

@@ -1,6 +1,6 @@
 // The persistent transform service: cost table/oracle behavior, the
-// request-parse taxonomy, the four-way admission ladder, schedule-cache
-// bit-identity, and the NDJSON wire layer.
+// request-parse taxonomy, admission by the fused-inner chain's capacity
+// check, schedule-cache bit-identity, and the NDJSON wire layer.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -166,6 +166,63 @@ TEST(ParseRequest, TaxonomyIsStable) {
   EXPECT_TRUE(r.real);
 }
 
+TEST(ParseRequest, IrrepOrderIsAPowerOfTwoUpTo32) {
+  const std::string want = "field 'irrep_order' must be a power of two <= 32";
+  for (const char* order : {"3", "6", "64", "1024"})
+    EXPECT_EQ(parse_error_of(std::string(R"({"molecule":"custom","n":40,)") +
+                             R"("irrep_order":)" + order + "}"),
+              want)
+        << order;
+  for (unsigned order : {1u, 2u, 4u, 8u, 16u, 32u})
+    EXPECT_EQ(serve::parse_request(
+                  obs::json::parse(R"({"molecule":"custom","n":40,)"
+                                   R"("irrep_order":)" +
+                                   std::to_string(order) + "}"))
+                  .custom_s,
+              order);
+
+  // The tile masks hold 32 irreps; an order of 64 would shift a 32-bit
+  // mask by up to 63.
+  TransformService svc{CostOracle{}};
+  const Response rsp = svc.submit_line(
+      R"({"molecule":"custom","n":40,"irrep_order":64,"plan_only":true})");
+  EXPECT_EQ(rsp.admission, Admission::Error);
+  EXPECT_EQ(rsp.error, want);
+  EXPECT_EQ(svc.reserved_bytes(), 0.0);
+}
+
+// A size field outside size_t's range is a taxonomy error, tested
+// before the double is converted (converting it is undefined, and
+// UBSan's float-cast-overflow check reports it).
+TEST(ParseRequest, SizeFieldsAreRangeCheckedBeforeTheCast) {
+  for (const char* v : {"1e20", "1e300", "-1", "18446744073709551616"})
+    EXPECT_EQ(parse_error_of(std::string(R"({"molecule":"Uracil","nodes":)") +
+                             v + "}"),
+              "field 'nodes' must be a positive number")
+        << v;
+  EXPECT_EQ(parse_error_of(R"({"molecule":"custom","n":1e20})"),
+            "field 'n' must be a positive number");
+  EXPECT_EQ(parse_error_of(R"({"molecule":"Uracil","batch":-1})"),
+            "field 'batch' must be a positive number");
+}
+
+// A release ticket outside [1, 2^64) is no reservation's ticket.
+TEST(Server, OutOfRangeTicketIsAnUnknownTicket) {
+  serve::Server server(TransformService{CostOracle{}},
+                       temp_path("serve-ticket.sock"));
+  for (const char* t : {"-1", "1e30"}) {
+    const obs::json::Value rsp = obs::json::parse(server.handle_line(
+        std::string(R"({"verb":"release","ticket":)") + t + "}"));
+    EXPECT_EQ(rsp.find("outcome")->as_string(), "released") << t;
+    const obs::json::Value& ran = *rsp.find("ran");
+    ASSERT_EQ(ran.size(), 1u) << t;
+    EXPECT_EQ(ran.at(0).find("outcome")->as_string(), "error") << t;
+    EXPECT_EQ(ran.at(0).find("error")->as_string().rfind("unknown ticket", 0),
+              0u)
+        << t;
+  }
+}
+
 TEST(ParseRequest, MalformedLinesBecomeErrorResponsesNotExceptions) {
   TransformService svc{CostOracle{}};
   const Response bad_json = svc.submit_line("{oops");
@@ -178,16 +235,19 @@ TEST(ParseRequest, MalformedLinesBecomeErrorResponsesNotExceptions) {
 }
 
 TEST(ParseRequest, FailureAfterParsingEchoesBatchAndTenant) {
-  // The line parses (the parser checks only that irrep_order is a
-  // positive number), then building the problem inside admission
-  // throws: the error reply must still carry the request's batch width
-  // and tenant, not a default Response's.
+  // The line parses and is admitted, then the run throws (the schedule
+  // reads a malformed FOURINDEX_COUNTER_BATCH): the error reply must
+  // still carry the request's batch width and tenant, not a default
+  // Response's.
   TransformService svc{CostOracle{}};
+  ::setenv("FOURINDEX_COUNTER_BATCH", "bogus", 1);
   const Response rsp = svc.submit_line(
-      "{\"molecule\":\"custom\",\"n\":8,\"irrep_order\":3,"
+      "{\"molecule\":\"custom\",\"n\":8,\"irrep_order\":2,"
       "\"batch\":2,\"tenant\":\"beta\"}");
+  ::unsetenv("FOURINDEX_COUNTER_BATCH");
   EXPECT_EQ(rsp.admission, Admission::Error);
-  EXPECT_NE(rsp.error.find("power of two"), std::string::npos) << rsp.error;
+  EXPECT_NE(rsp.error.find("FOURINDEX_COUNTER_BATCH"), std::string::npos)
+      << rsp.error;
   EXPECT_EQ(rsp.batch, 2u);
   EXPECT_EQ(rsp.tenant, "beta");
   const obs::json::Value doc = rsp.to_json();
@@ -197,52 +257,63 @@ TEST(ParseRequest, FailureAfterParsingEchoesBatchAndTenant) {
   EXPECT_EQ(svc.reserved_bytes(), 0.0);
 }
 
-// ------------------------------------------------------ admission ladder
+// ------------------------------------------------------------- admission
 
-TEST(Admission, WalksAdmittedThroughDegradedToQueuedAndRejected) {
-  TransformService::Options opt;
-  opt.queue_depth = 1;
-  TransformService svc{CostOracle{}, opt};
-
-  // Hyperpolar on 4 SystemA nodes: the idle machine picks op1234.
-  // plan_only reservations eat aggregate memory, so repeated identical
-  // requests must walk the ladder monotonically downward: Admitted
-  // (full fusion fits), Degraded (only a lower level fits), Queued
-  // (nothing fits, queue has room), Rejected (queue full).
+// A plan_only Hyperpolar request on 4 System A nodes.
+Request hyperpolar_hold() {
   Request r;
   r.molecule = "Hyperpolar";
   r.n_nodes = 4;
   r.plan_only = true;
+  return r;
+}
 
-  std::vector<Admission> transitions;
-  Admission last = Admission::Error;
-  std::uint64_t first_ticket = 0;
-  for (int i = 0; i < 4096; ++i) {
-    const Response rsp = svc.submit(r);
-    if (rsp.admission != last) {
-      transitions.push_back(rsp.admission);
-      last = rsp.admission;
-    }
-    if (first_ticket == 0 && rsp.admission == Admission::Admitted)
-      first_ticket = rsp.ticket;
-    if (rsp.admission == Admission::Rejected) break;
-  }
+// check_capacity's aggregate peak on the idle machine for the one chain
+// the service runs, for a paper molecule on System A.
+double fused_inner_peak(const Request& r) {
+  const auto p = core::make_problem(chem::paper_molecule(r.molecule));
+  core::ParOptions o;
+  o.tile = r.tile;
+  o.tile_l = r.tile_l;
+  return core::check_capacity(p, core::Chain::FusedInner, r.batch, o,
+                              core::CapacityView::idle(
+                                  runtime::system_a(r.n_nodes)))
+      .aggregate_peak_bytes;
+}
+
+TEST(Admission, WalksAdmittedToQueuedAndRejected) {
+  TransformService::Options opt;
+  opt.queue_depth = 1;
+  TransformService svc{CostOracle{}, opt};
+
+  // Each hold reserves the fused-inner chain's aggregate peak (7.92 MB)
+  // of the 23.4 MB machine: two fit, the third waits in the one queue
+  // slot, the fourth finds the queue full.
+  const Request r = hyperpolar_hold();
+  const double peak = fused_inner_peak(r);
+  std::vector<Response> rsp;
+  for (int i = 0; i < 4; ++i) rsp.push_back(svc.submit(r));
   const std::vector<Admission> want = {
-      Admission::Admitted, Admission::Degraded, Admission::Queued,
+      Admission::Admitted, Admission::Admitted, Admission::Queued,
       Admission::Rejected};
-  EXPECT_EQ(transitions, want);
-  EXPECT_GT(svc.reserved_bytes(), 0.0);
+  for (std::size_t i = 0; i < want.size(); ++i)
+    EXPECT_EQ(rsp[i].admission, want[i]) << "request " << i;
+  EXPECT_EQ(rsp[0].fusion, "fused-inner");
+  EXPECT_EQ(rsp[3].error, "queue full (1 waiting slots)");
+  EXPECT_EQ(svc.reserved_bytes(), 2.0 * peak);
   EXPECT_EQ(svc.queued(), 1u);
+  EXPECT_EQ(svc.metrics().sum("serve.admitted"), 2.0);
+  EXPECT_EQ(svc.metrics().sum("serve.queued"), 1.0);
+  EXPECT_EQ(svc.metrics().sum("serve.rejected"), 1.0);
 
-  // Releasing the first (largest) reservation must retry the queue;
-  // the parked request fits again and comes back non-queued.
-  const double reserved_before = svc.reserved_bytes();
-  const std::vector<Response> ran = svc.release(first_ticket);
+  // Releasing the first hold retries the queue: the parked request is
+  // admitted and holds the released bytes.
+  const std::vector<Response> ran = svc.release(rsp[0].ticket);
   ASSERT_EQ(ran.size(), 1u);
-  EXPECT_TRUE(ran[0].admission == Admission::Admitted ||
-              ran[0].admission == Admission::Degraded);
+  EXPECT_EQ(ran[0].admission, Admission::Admitted);
+  EXPECT_NE(ran[0].ticket, 0u);
   EXPECT_EQ(svc.queued(), 0u);
-  EXPECT_LT(svc.reserved_bytes(), reserved_before + 1.0);
+  EXPECT_EQ(svc.reserved_bytes(), 2.0 * peak);
   EXPECT_GE(svc.metrics().sum("serve.released"), 1.0);
 
   // An unknown ticket is an error response, not a crash.
@@ -251,17 +322,77 @@ TEST(Admission, WalksAdmittedThroughDegradedToQueuedAndRejected) {
   EXPECT_EQ(nope[0].admission, Admission::Error);
 }
 
+// A hold reserves what its chain holds at its peak, summed over the
+// ranks: check_capacity's aggregate peak, solo or batched.
+TEST(Admission, HoldReservesTheCapacityChecksAggregatePeak) {
+  TransformService svc{CostOracle{}};
+  const Request solo = hyperpolar_hold();
+  ASSERT_EQ(svc.submit(solo).admission, Admission::Admitted);
+  EXPECT_EQ(svc.reserved_bytes(), fused_inner_peak(solo));
+  EXPECT_NEAR(svc.reserved_bytes(), 7.92e6, 0.01e6);
+
+  TransformService svc2{CostOracle{}};
+  Request batch = solo;
+  batch.batch = 2;
+  ASSERT_EQ(svc2.submit(batch).admission, Admission::Admitted);
+  EXPECT_EQ(svc2.reserved_bytes(), fused_inner_peak(batch));
+  EXPECT_GT(svc2.reserved_bytes(), fused_inner_peak(solo));
+}
+
+// A request that waited in the queue runs exactly as it would have on
+// the idle machine.
+TEST(Admission, DrainedRequestReturnsItsIdleRun) {
+  Request hold = hyperpolar_hold();
+  hold.tenant = "t";
+  Request real;
+  real.molecule = "custom";
+  real.custom_n = 12;
+  real.custom_s = 2;
+  real.real = true;
+  real.tenant = "t";
+
+  TransformService idle{CostOracle{}};
+  const Response want = idle.submit(real);
+  ASSERT_EQ(want.admission, Admission::Admitted);
+  ASSERT_NE(want.result_checksum, 0.0);
+
+  // The tenant's quota holds the hold and no more, so the Real request
+  // waits for the hold's release.
+  TransformService::Options opt;
+  opt.tenant_quota_bytes = fused_inner_peak(hold) + 8.0;
+  TransformService svc{CostOracle{}, opt};
+  const Response h = svc.submit(hold);
+  ASSERT_EQ(h.admission, Admission::Admitted);
+  const Response q = svc.submit(real);
+  ASSERT_EQ(q.admission, Admission::Queued);
+  EXPECT_EQ(q.sim_seconds, 0.0);
+
+  const std::vector<Response> ran = svc.release(h.ticket);
+  ASSERT_EQ(ran.size(), 1u);
+  EXPECT_EQ(ran[0].admission, Admission::Admitted);
+  EXPECT_EQ(ran[0].fusion, "fused-inner");
+  EXPECT_EQ(ran[0].sim_seconds, want.sim_seconds);
+  EXPECT_EQ(ran[0].result_checksum, want.result_checksum);
+  EXPECT_EQ(svc.reserved_bytes(), 0.0);
+}
+
 TEST(Admission, ProblemBeyondTheIdleMachineIsRejectedOutright) {
   TransformService svc{CostOracle{}};
   Request r;
   r.molecule = "custom";
-  r.custom_n = 1024;  // even unfused needs > SystemA x1's aggregate
+  r.custom_n = 1024;  // C alone needs > SystemA x1's aggregate
   r.custom_s = 1;
   r.n_nodes = 1;
   r.plan_only = true;
   const Response rsp = svc.submit(r);
   EXPECT_EQ(rsp.admission, Admission::Rejected);
-  EXPECT_NE(rsp.error.find("exceeds the idle machine"), std::string::npos);
+  // Rejected by the C guard, before any tile grid (256^4 C cells at
+  // tile 4) is walked.
+  EXPECT_EQ(rsp.error.rfind("exceeds the idle machine: every member's C "
+                            "alone holds ",
+                            0),
+            0u)
+      << rsp.error;
   EXPECT_EQ(svc.queued(), 0u);
   EXPECT_EQ(svc.reserved_bytes(), 0.0);
 }
@@ -315,7 +446,7 @@ TEST(Admission, ChainBeyondOneRankOfTheIdleMachineIsRejected) {
   }
 }
 
-// No admitted or degraded request may run out of memory: a sweep of
+// No admitted request may run out of memory: a sweep of
 // small Real requests, many past what a rank of System A holds, gets
 // every answer but an error.
 TEST(Admission, SmallRealSweepNeverAnswersError) {
@@ -338,8 +469,7 @@ TEST(Admission, SmallRealSweepNeverAnswersError) {
         << " nodes=" << r.n_nodes << " tile=" << r.tile
         << " tile_l=" << r.tile_l << " batch=" << r.batch << ": "
         << rsp.error;
-    if (rsp.admission == Admission::Admitted ||
-        rsp.admission == Admission::Degraded) {
+    if (rsp.admission == Admission::Admitted) {
       EXPECT_NE(rsp.result_checksum, 0.0);
       executed += 1;
     }
@@ -440,8 +570,8 @@ TEST(Tenancy, QuotaCapsEachTenantAndDrainRotatesAcrossThem) {
   const double need = probe.reserved_bytes();
   ASSERT_GT(need, 0.0);
 
-  // Quota: one reservation per tenant, plus change too small for even
-  // the most degraded fusion level.
+  // Quota: one reservation per tenant, plus change too small for any
+  // other request.
   TransformService::Options opt;
   opt.queue_depth = 4;
   opt.tenant_quota_bytes = need + 8.0;
@@ -473,8 +603,7 @@ TEST(Tenancy, QuotaCapsEachTenantAndDrainRotatesAcrossThem) {
   const auto ran = svc.release(b1.ticket);
   ASSERT_EQ(ran.size(), 1u);
   EXPECT_EQ(ran[0].tenant, "bob");
-  EXPECT_TRUE(ran[0].admission == Admission::Admitted ||
-              ran[0].admission == Admission::Degraded);
+  EXPECT_EQ(ran[0].admission, Admission::Admitted);
   EXPECT_EQ(svc.queued(), 1u);
 
   // Releasing alice's hold frees her parked request too.
