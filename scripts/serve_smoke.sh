@@ -68,11 +68,24 @@ done
 
 # 3. Rejected: every member's C stays resident for the whole run, and
 #    n = 1024's C alone exceeds an idle single SystemA node — rejected
-#    before any tile grid is walked.
+#    from closed-form sizes, before the problem is built.
 R=$(ask '{"molecule":"custom","n":1024,"nodes":1,"plan_only":true}')
 expect rejected "$R"
 jq -e '.error | startswith("exceeds the idle machine: every member'"'"'s C alone holds")' \
   <<<"$R" > /dev/null || { echo "n = 1024 was not rejected by the C guard: $R"; exit 1; }
+
+# 3b. Rejected before anything is built: past the service's bounds on
+#     ranks (1e15 nodes) and on the C tile grid (n = 200 at tile 1).
+#     The server answers the next request after each.
+for LINE in '{"molecule":"custom","n":10,"nodes":1e15,"plan_only":true}' \
+            '{"molecule":"custom","n":200,"nodes":4096,"tile":1,"plan_only":true}'; do
+  R=$(ask "$LINE")
+  expect rejected "$R"
+  jq -e '.error | startswith("exceeds the service'"'"'s bounds: ")' \
+    <<<"$R" > /dev/null || { echo "not rejected by the bounds: $R"; exit 1; }
+  ask '{"verb":"stats"}' | jq -e '.["serve.rejected"].sum >= 1' > /dev/null \
+    || { echo "no stats answer after $LINE"; exit 1; }
+done
 
 # Release every hold, and the queued one the first release drains, so
 # the cache test below sees an idle machine.

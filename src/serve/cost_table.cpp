@@ -70,14 +70,6 @@ std::optional<double> CostTable::estimate_rate(std::string_view kind,
   return lo->rate + t * (hi->rate - lo->rate);
 }
 
-std::optional<double> CostTable::estimate_seconds(std::string_view kind,
-                                                  double shape,
-                                                  double work) const {
-  const auto rate = estimate_rate(kind, shape);
-  if (!rate) return std::nullopt;
-  return work / *rate;
-}
-
 obs::json::Value CostTable::to_json() const {
   obs::json::Value doc = obs::json::Value::object();
   doc["schema"] = kSchema;

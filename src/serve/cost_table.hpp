@@ -63,11 +63,6 @@ class CostTable {
   std::optional<double> estimate_rate(std::string_view kind,
                                       double shape) const;
 
-  /// Seconds to perform `work` units of `kind` at the estimated rate;
-  /// nullopt when the bucket is missing.
-  std::optional<double> estimate_seconds(std::string_view kind,
-                                         double shape, double work) const;
-
   /// The persisted document (schema above).
   obs::json::Value to_json() const;
   /// Parse a persisted document; throws fit::ParseError on a wrong

@@ -4,30 +4,37 @@
 // request skips the per-phase balance DES.
 //
 // Every request runs one chain, fused-inner, and a solo request is the
-// batch of one. Admission checks that chain per rank on the idle
-// machine (core::check_capacity, once per request fingerprint) and
-// reserves the check's aggregate peak. Three verdicts:
-//   admitted   the peak fits the live remainder: the machine's
-//              unreserved bytes, capped by the tenant's unreserved
-//              quota;
+// batch of one. Admission first bounds the request (ranks, orbitals,
+// batch width, the C tile grids) and rejects one whose C alone exceeds
+// the machine, both from closed-form sizes before anything is built.
+// It then checks the chain per rank on the idle machine
+// (core::check_capacity, a dry run of the chain, once per request
+// fingerprint) and reserves the check's aggregate peak. Three verdicts:
+//   admitted   the peak fits the live remainder: the unreserved bytes
+//              of the machine the request names, capped by the
+//              tenant's unreserved quota;
 //   queued     it fits the idle machine (and the quota) but not the
 //              live remainder — parked up to the configured queue
 //              depth (FOURINDEX_SERVE_QUEUE) and retried on every
 //              release;
-//   rejected   some rank of the idle machine cannot hold its share,
-//              the peak exceeds the quota, or the queue is full.
+//   rejected   the request exceeds the service's bounds, some rank of
+//              the idle machine cannot hold its share, the peak
+//              exceeds the quota, or the queue is full.
 //
 // Memory accounting: plan-only requests hold their reservation until
 // they are released; executing requests run to completion before the
-// next request is admitted, so they hold none.
+// next request is admitted, so they hold none. Each machine, (system,
+// nodes), is its own reservation pool.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/planner.hpp"
@@ -74,7 +81,8 @@ Request parse_request(const obs::json::Value& v);
 enum class Admission {
   Admitted,  ///< The chain's peak fits the live remainder.
   Queued,    ///< Fits an idle machine; parked until a release.
-  Rejected,  ///< Exceeds the idle machine, or the queue is full.
+  Rejected,  ///< Exceeds the service's bounds or the idle machine,
+             ///< or the queue is full.
   Error      ///< Malformed request; see Response::error.
 };
 /// Wire spelling of a verdict ("admitted", "queued", ...).
@@ -145,8 +153,9 @@ class TransformService {
   /// fits runs and its response is returned.
   std::vector<Response> release(std::uint64_t ticket);
 
-  /// Reserved aggregate bytes currently held against admissions.
-  double reserved_bytes() const { return reserved_bytes_; }
+  /// Reserved aggregate bytes currently held against admissions,
+  /// summed over the machines.
+  double reserved_bytes() const;
   /// Requests parked in the FIFO queue.
   std::size_t queued() const { return queue_.size(); }
   /// Bytes currently reserved by one tenant's live admissions.
@@ -180,8 +189,9 @@ class TransformService {
   Response admit_and_run(const Request& r, bool from_queue);
   /// The taxonomy reply to `e`, echoing what `req` (if it parsed) asked.
   Response failed(const Error& e, const Request* req);
-  Response run(const Request& r, const core::PlanRates& rates,
-               core::BalanceCache& memo, Response rsp);
+  Response run(const Request& r, const core::Problem& p,
+               const core::PlanRates& rates, core::BalanceCache& memo,
+               Response rsp);
 
   CostOracle oracle_;
   Options opt_;
@@ -196,7 +206,9 @@ class TransformService {
   std::unordered_map<std::uint64_t, core::CapacityCheck> capacity_checks_;
   std::deque<Ticketed> queue_;
   std::vector<Ticketed> holds_;
-  double reserved_bytes_ = 0;
+  /// Live reservation bytes per machine, (system, nodes): a hold counts
+  /// only against the machine it named (entries erased at zero).
+  std::map<std::pair<std::string, std::size_t>, double> reserved_;
   /// Live reservation bytes per tenant (entries erased at zero).
   std::unordered_map<std::string, double> tenant_reserved_;
   std::uint64_t next_ticket_ = 1;

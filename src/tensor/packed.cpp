@@ -19,10 +19,17 @@ TensorSizes packed_sizes(std::size_t n, const Irreps& irreps) {
   sz.o1 = n * n * p;
   sz.o2 = p * p;
   sz.o3 = p * n * n;
-  // Exact spatial reduction: count pairs per irrep; C = sum of squares.
-  std::vector<std::size_t> pop(irreps.order(), 0);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j <= i; ++j) ++pop[irreps.pair_irrep(i, j)];
+  // Exact spatial reduction: count pairs (i >= j) per irrep; C = sum
+  // of squares. An irrep h with k orbitals makes k(k+1)/2 such pairs of
+  // irrep 0, and two irreps h1 < h2 make k1*k2 pairs of irrep h1^h2.
+  const std::size_t order = irreps.order();
+  std::vector<std::size_t> count(order, 0), pop(order, 0);
+  for (std::size_t i = 0; i < n; ++i) ++count[irreps.of(i)];
+  for (std::size_t h1 = 0; h1 < order; ++h1) {
+    pop[0] += count[h1] * (count[h1] + 1) / 2;
+    for (std::size_t h2 = h1 + 1; h2 < order; ++h2)
+      pop[h1 ^ h2] += count[h1] * count[h2];
+  }
   sz.c = 0;
   for (auto c : pop) sz.c += c * c;
   return sz;

@@ -786,6 +786,48 @@ TEST(CapacityCheck, HybridRunsFusedInnerWhereOneRankCannotHoldUnfused) {
       << out.par.note;
 }
 
+// A live view with dead ranks: the check places what a dead rank would
+// own on its live owner, as a run on that cluster does. One case kills
+// a rank, the other a whole node.
+TEST(CapacityCheck, LiveViewWithDeadRanksMatchesARunOnThatCluster) {
+  auto p = core::make_problem(chem::custom_molecule("dead", 20, 2, 11));
+  core::ParOptions o;
+  o.tile = 4;
+  o.tile_l = 3;
+  o.gather_result = false;
+  const auto bs = core::batch_member_bs(p, 2);
+  for (auto chain : {core::Chain::Unfused, core::Chain::FusedInner})
+    for (bool whole_node : {false, true}) {
+      Cluster cl(test_machine(3, 2), ExecutionMode::Simulate);
+      if (whole_node)
+        cl.kill_domain(1);
+      else
+        cl.kill_rank(4);
+      const auto want =
+          core::check_capacity(p, chain, 2, o, core::CapacityView::live(cl));
+      if (chain == core::Chain::Unfused)
+        core::batched_unfused_par_transform(p, bs, cl, o);
+      else
+        core::batched_fused_inner_par_transform(p, bs, cl, o);
+      const std::string what =
+          std::string(chain == core::Chain::Unfused ? "unfused" : "fused") +
+          (whole_node ? ", node 1 dead" : ", rank 4 dead");
+      ASSERT_TRUE(want.fits) << what;
+      EXPECT_EQ(cl.global_peak(), want.aggregate_peak_bytes) << what;
+      // Every live rank is empty and equally sized, so the busiest is
+      // the lowest live rank with the highest peak.
+      std::size_t busiest = 0;
+      for (std::size_t r = 0; r < cl.n_ranks(); ++r)
+        if (!cl.is_dead(r) &&
+            (cl.is_dead(busiest) ||
+             cl.memory(r).peak() > cl.memory(busiest).peak()))
+          busiest = r;
+      EXPECT_EQ(want.busiest_rank, busiest) << what;
+      EXPECT_FALSE(cl.is_dead(want.busiest_rank)) << what;
+      EXPECT_EQ(want.busiest_peak_bytes, cl.memory(busiest).peak()) << what;
+    }
+}
+
 // The check reads a cluster and writes nothing to it: no metric, no
 // timeline instant, no memory charge.
 TEST(CapacityCheck, LeavesTheClusterUntouched) {
