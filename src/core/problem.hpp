@@ -37,9 +37,14 @@ struct Problem {
   }
 };
 
-/// Construct the problem for a molecule: contiguous irreps of the
-/// molecule's group order, seeded integral engine, symmetry-adapted
-/// orthogonal B.
+/// The spatial symmetry a molecule's problem has: contiguous irreps of
+/// the molecule's group order. Cheap next to make_problem (no integral
+/// engine, no B), so a caller can size a problem before it builds one:
+/// tensor::packed_sizes(n, problem_irreps(m)) is its Problem::sizes().
+tensor::Irreps problem_irreps(const chem::Molecule& molecule);
+
+/// Construct the problem for a molecule: problem_irreps, a seeded
+/// integral engine, a symmetry-adapted orthogonal B.
 Problem make_problem(const chem::Molecule& molecule);
 
 }  // namespace fit::core
