@@ -11,8 +11,11 @@
 // gemm.n512.result_checksum is bit-identical across levels while
 // GFLOP/s is non-decreasing with ISA width. gemm.isa / gemm.isa_detected
 // record which kernel path actually ran. The report also carries the
-// head-to-head as a table (reference, t1, t2, t4 and t4 ksplit4). With
-// FOURINDEX_BENCH_SMOKE=1 only the head-to-head section runs.
+// head-to-head as a table (reference, t1, t2, t4 and t4 ksplit4). A
+// tile-shape section reports the engine's one-lane rate on the
+// distributed chain's small products over its rate at 256^3
+// (gemm.tile_vs_n256, gated in bench-smoke). With
+// FOURINDEX_BENCH_SMOKE=1 only those two sections run.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -299,6 +302,66 @@ void head_to_head(fit::obs::BenchReport& report) {
   report.add_metrics("gemm", fit::blas::gemm_metrics());
 }
 
+// Tile-shape engine speed, the rate the distributed chain's small
+// products run at: one lane on contraction 3's unmirrored tile shape
+// (an 8 x 8 block of an n x n matrix shared as A by 64 members of an
+// 8 x 8 x 8 product, each member's B read in place) over one lane on a
+// 256^3 product. The two shapes' reps alternate in one process so host
+// drift moves both alike; each rate is the median of its reps. CI's
+// bench-smoke job gates gemm.tile_vs_n256.
+void tile_shape(fit::obs::BenchReport& report) {
+  using fit::blas::Trans;
+  const auto base = fit::blas::gemm_config();
+  auto cfg = base;
+  cfg.threads = 1;
+  fit::blas::set_gemm_config(cfg);
+
+  const std::size_t t = 8, members = 64, ld = 64, calls = 200;
+  const auto block = random_vec(ld * ld, 5);
+  const auto x = random_vec(members * t * t, 6);
+  std::vector<double> out(members * t * t, 0.0);
+  auto run_tile = [&] {
+    for (std::size_t r = 0; r < calls; ++r)
+      fit::blas::gemm_batched(Trans::No, Trans::No, t, t, t, 1.0,
+                              block.data(), ld, 0, x.data(), t, t * t, 1.0,
+                              out.data(), t, t * t, members);
+  };
+  const std::size_t n = 256;
+  const auto a = random_vec(n * n, 1);
+  const auto b = random_vec(n * n, 2);
+  std::vector<double> c(n * n, 0.0);
+  auto run_n256 = [&] {
+    fit::blas::gemm(Trans::No, Trans::No, n, n, n, 1.0, a.data(), n,
+                    b.data(), n, 0.0, c.data(), n);
+  };
+  const double tile_flops = fit::blas::gemm_flops(t, t, t) *
+                            static_cast<double>(members * calls);
+  const double n256_flops = fit::blas::gemm_flops(n, n, n);
+
+  run_tile();  // warm the packing buffers
+  run_n256();
+  const int reps = 31;
+  std::vector<double> tile_s, n256_s;
+  for (int r = 0; r < reps; ++r) {
+    tile_s.push_back(timed_seconds(run_tile));
+    n256_s.push_back(timed_seconds(run_n256));
+  }
+  fit::blas::set_gemm_config(base);
+  auto median = [](std::vector<double> v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  const double tile_gflops = tile_flops / median(tile_s) / 1e9;
+  const double n256_gflops = n256_flops / median(n256_s) / 1e9;
+  report.add_scalar("gemm.tile.gflops_t1", tile_gflops);
+  report.add_scalar("gemm.n256.gflops_t1", n256_gflops);
+  report.add_scalar("gemm.tile_vs_n256", tile_gflops / n256_gflops);
+  std::printf(
+      "tile shape (8x8x8 x 64, A shared): %.2f GFLOP/s, 256^3: %.2f "
+      "GFLOP/s, ratio %.2f\n",
+      tile_gflops, n256_gflops, tile_gflops / n256_gflops);
+}
+
 // --record-costs: measured single-thread DGEMM rates over a ladder of
 // flop-volume buckets (each within a decade of its neighbors, so the
 // cost oracle's coverage rule holds from tiled contraction shapes up
@@ -341,6 +404,9 @@ int main(int argc, char** argv) {
   report.add_note("gemm.n512.* scalars: blocked engine vs gemm_reference "
                   "head-to-head (CI gates gemm.roofline_fraction >= 0.35 "
                   "and, in isa-sweep, cross-level checksum equality)");
+  report.add_note("gemm.tile_vs_n256: one-lane GFLOP/s on contraction 3's "
+                  "8x8x8 x 64 tile shape over one-lane GFLOP/s at 256^3, "
+                  "reps interleaved (gated in bench-smoke)");
   const char* smoke = std::getenv("FOURINDEX_BENCH_SMOKE");
   if (!(smoke && smoke[0] == '1')) {
     JsonTeeReporter reporter(&report);
@@ -348,6 +414,7 @@ int main(int argc, char** argv) {
   }
   benchmark::Shutdown();
   head_to_head(report);
+  tile_shape(report);
   if (!costs_path.empty()) record_gemm_costs(costs_path);
   report.write();
   return 0;

@@ -6,8 +6,8 @@
 /// and a portable build silently ran the narrow kernel on wide hosts.
 /// This header replaces that with an rtcd-style (libvpx) table of
 /// per-function pointers: every kernel the engine calls through —
-/// micro-kernel, tile update, packing routines, level-1 helpers —
-/// exists once per ISA level in its own translation unit
+/// micro-kernel, packing routines, level-1 helpers — exists once per
+/// ISA level in its own translation unit
 /// (compiled with that level's `-m` flags), and a `KernelTable` per
 /// level is resolved at startup from a cpuid probe, optionally narrowed
 /// by the `FOURINDEX_CPU` environment override.
@@ -70,21 +70,20 @@ std::optional<IsaLevel> isa_from_env();
 /// snapshots it into the active engine config.
 IsaLevel resolve_isa();
 
-/// MR x NR micro-kernel: `acc[MR][NR] += Apanel * B` with acc
-/// row-major (NR stride) and Apanel a packed MR-row micro-panel. Row p
-/// of the kc x NR block B is the NR adjacent doubles at `b + p*b_step`:
-/// a packed NR-column micro-panel has b_step = NR, and an unpacked
-/// operand whose NR columns are adjacent is read in place.
+/// MR x NR micro-kernel: multiplies a packed MR-row A micro-panel by
+/// a kc x NR block of B in registers and adds the product into C,
+/// `C += alpha * (Apanel * B)`. Row p of B is the NR adjacent doubles
+/// at `b + p*b_step`: a packed NR-column micro-panel has b_step = NR,
+/// and an unpacked operand whose NR columns are adjacent is read in
+/// place. C's row i, columns [4h, 4h+4) are the four contiguous
+/// doubles at `c + rows[i] + cols[4h]` (only every fourth column
+/// offset is read). Each element gets exactly `c + alpha * s`, where
+/// s sums its k-products left to right from +0.0 — at every level.
 using MicroKernelFn = void (*)(std::size_t kc, const double* a_panel,
                                const double* b, std::size_t b_step,
-                               double* acc);
-
-/// Full micro-tile update: `C += alpha * acc` for one MR x NR
-/// accumulator tile (row-major, NR stride), where C's row i, columns
-/// [4h, 4h+4) are the four contiguous doubles at `quads[i*NR/4 + h]`.
-/// Each element gets exactly `c + alpha * acc` at every level.
-using TileUpdateFn = void (*)(const double* acc, double alpha,
-                              double* const* quads);
+                               double alpha, double* c,
+                               const std::size_t* rows,
+                               const std::size_t* cols);
 
 /// A GEMM operand as the packing routines read it. The operand may be
 /// a strided batch folded into one extent: element (r, p) — r a row of
@@ -132,8 +131,7 @@ using ScalFn = void (*)(std::size_t n, double alpha, double* x);
 /// exist — they are just never selected by resolve_isa()).
 struct KernelTable {
   IsaLevel level;            ///< the level this table implements
-  MicroKernelFn micro_kernel;///< MR x NR micro-kernel
-  TileUpdateFn tile_update;  ///< full micro-tile C += alpha * acc
+  MicroKernelFn micro_kernel;///< MR x NR C += alpha * A * B
   PackAFn pack_a;            ///< A-side packing routine
   PackBFn pack_b;            ///< B-side packing routine
   AxpyFn axpy;               ///< level-1 y += alpha*x

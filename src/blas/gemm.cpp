@@ -68,7 +68,6 @@ struct EngineMetrics {
   obs::MetricsRegistry::Id calls;
   obs::MetricsRegistry::Id flops;
   obs::MetricsRegistry::Id pack_bytes;
-  obs::MetricsRegistry::Id gflops;
   obs::MetricsRegistry::Id isa;
 };
 
@@ -76,8 +75,7 @@ EngineMetrics& engine_metrics() {
   static EngineMetrics m = [] {
     auto& reg = gemm_metrics();
     return EngineMetrics{reg.counter("gemm.calls"), reg.counter("gemm.flops"),
-                         reg.counter("gemm.pack_bytes"),
-                         reg.gauge("gemm.gflops"), reg.gauge("gemm.isa")};
+                         reg.counter("gemm.pack_bytes"), reg.gauge("gemm.isa")};
   }();
   return m;
 }
@@ -165,6 +163,11 @@ struct Axis {
     }
   }
 };
+
+// Row and column offsets of a local row-major MR x NR tile.
+constexpr std::size_t kTileRows[MR] = {0, NR, 2 * NR, 3 * NR};
+constexpr std::size_t kTileCols[NR] = {0, 1, 2, 3, 4, 5, 6, 7};
+static_assert(MR == 4 && NR == 8, "tile offset tables assume a 4x8 tile");
 
 // True when a micro-tile's NR column offsets in C come in runs of 4
 // adjacent elements (runs that straddle members pass only when the
@@ -256,25 +259,25 @@ struct BlockedPass {
               }
               const std::size_t* cj = coff + jr;
               // Full-width tiles whose columns come in contiguous runs
-              // of 4 go through the per-ISA update kernel.
+              // of 4 are added into C by the kernel itself.
               const bool quads = jb == NR && quad_runs(cj);
               for (std::size_t ir = 0; ir < mc; ir += MR) {
                 const std::size_t ib = std::min(MR, mc - ir);
                 const double* ap = abuf + (ir / MR) * kc * MR;
                 const std::size_t* ri = roff + ir;
-                alignas(64) double acc[MR * NR] = {};
-                kt->micro_kernel(kc, ap, bp, b_step, acc);
                 if (quads && ib == MR) {
-                  double* q[MR * NR / 4];
-                  for (std::size_t i = 0; i < MR; ++i)
-                    for (std::size_t h = 0; h < NR / 4; ++h)
-                      q[i * (NR / 4) + h] = dst + ri[i] + cj[4 * h];
-                  kt->tile_update(acc, alpha, q);
+                  kt->micro_kernel(kc, ap, bp, b_step, alpha, dst, ri, cj);
                   continue;
                 }
+                // Edge tile: with alpha = 1 the kernel leaves each sum s
+                // exact in a zeroed local tile (s is never -0.0, so
+                // 0 + 1*s == s); C then gets alpha * s as from the kernel.
+                alignas(64) double t[MR * NR] = {};
+                kt->micro_kernel(kc, ap, bp, b_step, 1.0, t, kTileRows,
+                                 kTileCols);
                 for (std::size_t i = 0; i < ib; ++i)
                   for (std::size_t j = 0; j < jb; ++j)
-                    dst[ri[i] + cj[j]] += alpha * acc[i * NR + j];
+                    dst[ri[i] + cj[j]] += alpha * t[i * NR + j];
               }
             }
           }
@@ -347,13 +350,6 @@ void gemm_batched(Trans ta, Trans tb, std::size_t m, std::size_t n,
   }
   if (k == 0 || alpha == 0.0) return;
 
-  const double flops = gemm_flops(m, n, k) * static_cast<double>(batch);
-  auto& em = engine_metrics();
-  auto& reg = gemm_metrics();
-  reg.add(em.calls, 0, 1.0);
-  reg.add(em.flops, 0, flops);
-  reg.set(em.isa, 0, static_cast<double>(cfg.isa));
-
   // The blocking rules, applied to one member's m x n x k exactly as a
   // lone call applies them — for k > KC they fix each C element's
   // summation order, so they must not see the folded shape. A small
@@ -382,7 +378,6 @@ void gemm_batched(Trans ta, Trans tb, std::size_t m, std::size_t n,
 
   TraceState& ts = trace_state();
   const double t_trace0 = ts.enabled ? trace_now(ts) : 0.0;
-  const auto t_wall0 = std::chrono::steady_clock::now();
 
   // Operand views: the transpose folds into the steps, a batch fold
   // into span/stride.
@@ -498,11 +493,13 @@ void gemm_batched(Trans ta, Trans tb, std::size_t m, std::size_t n,
     }
   }
 
-  reg.add(em.pack_bytes, 0, packed * sizeof(double));
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t_wall0)
-          .count();
-  if (secs > 0.0) reg.set(em.gflops, 0, flops / secs / 1e9);
+  const EngineMetrics& em = engine_metrics();
+  const obs::MetricsRegistry::Write writes[] = {
+      {em.calls, 0, 1.0},
+      {em.flops, 0, gemm_flops(m, n, k) * static_cast<double>(batch)},
+      {em.pack_bytes, 0, packed * sizeof(double)},
+      {em.isa, 0, static_cast<double>(cfg.isa)}};
+  gemm_metrics().apply(writes);
   if (ts.enabled) {
     char label[96];
     if (batch > 1)

@@ -108,9 +108,9 @@ double isa_flops_per_cycle(IsaLevel level);
 double roofline_peak_gflops(IsaLevel level, std::size_t threads);
 
 /// Process-wide engine metrics: counters gemm.calls / gemm.flops /
-/// gemm.pack_bytes, gauge gemm.gflops (rate of the last blocked call)
-/// and gauge gemm.isa (IsaLevel the last call dispatched to). Single-
-/// rank registry, safe from any thread.
+/// gemm.pack_bytes and gauge gemm.isa (IsaLevel the last call
+/// dispatched to), written under one lock per call. Single-rank
+/// registry, safe from any thread.
 obs::MetricsRegistry& gemm_metrics();
 
 }  // namespace fit::blas

@@ -84,6 +84,21 @@ void MetricsRegistry::set(Id id, std::size_t rank, double v) {
   m.per_rank[rank] = v;
 }
 
+void MetricsRegistry::apply(std::span<const Write> ws) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (const Write& w : ws) {
+    FIT_REQUIRE(w.id < metrics_.size(), "unknown metric id");
+    Metric& m = metrics_[w.id];
+    FIT_REQUIRE(m.kind != MetricKind::Histogram,
+                "apply() on histogram metric '" << m.name << "'");
+    FIT_REQUIRE(w.rank < n_ranks_, "metric rank out of range");
+    if (m.kind == MetricKind::Counter)
+      m.per_rank[w.rank] += w.v;
+    else
+      m.per_rank[w.rank] = w.v;
+  }
+}
+
 void MetricsRegistry::observe(Id id, double v) {
   std::lock_guard<std::mutex> lock(mutex_);
   FIT_REQUIRE(id < metrics_.size(), "unknown metric id");

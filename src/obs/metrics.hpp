@@ -54,6 +54,16 @@ class MetricsRegistry {
   /// rank's slot under one lock: the slot rounds exactly as the same
   /// add() calls made one by one would leave it.
   void add_each(Id id, std::size_t rank, std::span<const double> vs);
+  /// One write of apply(): by the metric's kind, a counter add or a
+  /// gauge set of `v` in one rank's slot.
+  struct Write {
+    Id id;
+    std::size_t rank;
+    double v;
+  };
+  /// Every write of `ws`, in order, under one lock: each slot ends as
+  /// the same add() and set() calls made one by one would leave it.
+  void apply(std::span<const Write> ws);
   /// Histogram observation (global, not per rank).
   void observe(Id id, double v);
 

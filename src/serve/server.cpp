@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -37,7 +38,10 @@ int connect_unix(const std::string& path) {
 bool send_all(int fd, const std::string& s) {
   std::size_t off = 0;
   while (off < s.size()) {
-    const ssize_t k = ::write(fd, s.data() + off, s.size() - off);
+    // MSG_NOSIGNAL: a peer that hung up is a failed send, not a
+    // SIGPIPE that ends the process.
+    const ssize_t k =
+        ::send(fd, s.data() + off, s.size() - off, MSG_NOSIGNAL);
     if (k <= 0) {
       if (k < 0 && errno == EINTR) continue;
       return false;
@@ -47,22 +51,54 @@ bool send_all(int fd, const std::string& s) {
   return true;
 }
 
-/// Read up to the next '\n' (not included). False on EOF before any
-/// byte arrived.
-bool recv_line(int fd, std::string& line) {
-  line.clear();
-  char c;
-  for (;;) {
-    const ssize_t k = ::read(fd, &c, 1);
-    if (k < 0) {
-      if (errno == EINTR) continue;
-      return false;
+/// Buffered line reader over one connection: reads in chunks and keeps
+/// the bytes after a line's '\n' for the connection's next line.
+class LineReader {
+ public:
+  enum class Status { Line, End, TooLong };
+
+  /// Lines longer than `max_line` bytes (without the '\n') are
+  /// reported as TooLong instead of being read to their end.
+  LineReader(int fd, std::size_t max_line) : fd_(fd), max_line_(max_line) {}
+
+  /// The next line, without its '\n'. End on EOF before any byte of
+  /// a line arrived, on a read error and on a receive timeout; a
+  /// partial line at EOF is a Line.
+  Status next(std::string& line) {
+    for (;;) {
+      const std::size_t nl = buf_.find('\n', scanned_);
+      if (nl != std::string::npos) {
+        if (nl > max_line_) return Status::TooLong;
+        line.assign(buf_, 0, nl);
+        buf_.erase(0, nl + 1);
+        scanned_ = 0;
+        return Status::Line;
+      }
+      scanned_ = buf_.size();
+      if (buf_.size() > max_line_) return Status::TooLong;
+      char chunk[4096];
+      const ssize_t k = ::read(fd_, chunk, sizeof(chunk));
+      if (k < 0) {
+        if (errno == EINTR) continue;
+        return Status::End;
+      }
+      if (k == 0) {
+        if (buf_.empty()) return Status::End;
+        line.swap(buf_);
+        buf_.clear();
+        scanned_ = 0;
+        return Status::Line;
+      }
+      buf_.append(chunk, static_cast<std::size_t>(k));
     }
-    if (k == 0) return !line.empty();
-    if (c == '\n') return true;
-    line.push_back(c);
   }
-}
+
+ private:
+  int fd_;
+  std::size_t max_line_;
+  std::string buf_;          // bytes read past the last line returned
+  std::size_t scanned_ = 0;  // prefix of buf_ known to hold no '\n'
+};
 
 }  // namespace
 
@@ -159,9 +195,28 @@ std::size_t Server::serve_forever(std::size_t max_requests) {
       if (errno == EINTR) continue;
       throw_errno("accept");
     }
+    // Connections are served one at a time, so a silent client would
+    // hold every other one off: drop it after kIdleTimeoutSeconds
+    // without a byte (and a peer that stops reading its replies
+    // likewise).
+    const timeval idle{kIdleTimeoutSeconds, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &idle, sizeof(idle));
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &idle, sizeof(idle));
+    LineReader in(fd, kMaxLineBytes);
     std::string line;
-    while (!shutdown_ && (max_requests == 0 || served < max_requests) &&
-           recv_line(fd, line)) {
+    while (!shutdown_ && (max_requests == 0 || served < max_requests)) {
+      const LineReader::Status got = in.next(line);
+      if (got == LineReader::Status::End) break;
+      if (got == LineReader::Status::TooLong) {
+        // One error for the line, then the connection goes: the rest
+        // of the line cannot be told apart from the next request.
+        ++served;
+        Response rsp;
+        rsp.error = "request line exceeds " + std::to_string(kMaxLineBytes) +
+                    " bytes";
+        send_all(fd, rsp.to_json().dump() + "\n");
+        break;
+      }
       if (line.empty()) continue;
       ++served;
       if (!send_all(fd, handle_line(line) + "\n")) break;
@@ -175,7 +230,9 @@ std::string Server::request(const std::string& socket_path,
                             const std::string& line) {
   const int fd = connect_unix(socket_path);
   std::string rsp;
-  const bool ok = send_all(fd, line + "\n") && recv_line(fd, rsp);
+  const bool ok = send_all(fd, line + "\n") &&
+                  LineReader(fd, std::string::npos).next(rsp) ==
+                      LineReader::Status::Line;
   ::close(fd);
   if (!ok) throw Error("serve: no response from " + socket_path);
   return rsp;

@@ -18,6 +18,11 @@
 //
 // Malformed lines never kill the server: they come back as
 // {"outcome":"error","error":<taxonomy message>}.
+//
+// One connection cannot hold the server: a request line longer than
+// kMaxLineBytes is answered with one error and its connection closed,
+// and a connection that sends nothing for kIdleTimeoutSeconds is
+// dropped, so the next client is served.
 #pragma once
 
 #include <cstddef>
@@ -26,6 +31,12 @@
 #include "serve/service.hpp"
 
 namespace fit::serve {
+
+/// Longest request line the server reads, in bytes without the '\n'.
+inline constexpr std::size_t kMaxLineBytes = 64 * 1024;
+/// Seconds a connection may stay silent (or leave a reply unread)
+/// before the server drops it.
+inline constexpr int kIdleTimeoutSeconds = 5;
 
 /// Unix-domain NDJSON server wrapping one TransformService.
 class Server {

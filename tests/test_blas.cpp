@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <tuple>
 #include <vector>
 
+#include "blas/dispatch.hpp"
 #include "blas/gemm.hpp"
 #include "blas/level1.hpp"
 #include "blas/tune.hpp"
@@ -343,6 +346,112 @@ TEST(GemmSmall, KeepsSingleAccumulatorOrderBeyondKC) {
               << " beta=" << beta;
         }
   }
+  fit::blas::set_gemm_config(base);
+}
+
+
+// Full 4x8 micro-tiles keep the documented rounding at every runnable
+// ISA level: each C element becomes beta-scaled c plus alpha times its
+// k-products summed left to right from +0.0, one rounding per step.
+// The shapes put full quad tiles through each driver path — B read in
+// place, packed B, a batch folded into M, a ragged edge and C columns
+// that are not in runs of four — and the operands carry signed zeros
+// (a sum that started from its first product could end at -0.0) while
+// C carries signed zeros and infinities.
+TEST(GemmFullTile, AddsAlphaTimesOrderedSumAtEveryLevel) {
+  const auto base = fit::blas::gemm_config();
+  const auto widest = fit::blas::detected_isa();
+  struct Shape {
+    const char* what;
+    std::size_t m, n, k;
+    Trans ta, tb;
+    std::size_t lda, ldb, ldc;
+    std::size_t stride_a, stride_b, stride_c, batch;
+  };
+  const Shape shapes[] = {
+      // m <= 16 rows over members 8 columns wide: B is read in place
+      // (contract3's unmirrored shape, A shared).
+      {"in-place B", 8, 8, 8, Trans::No, Trans::No, 24, 8, 8, 0, 64, 64, 4},
+      {"in-place B, lone", 12, 16, 5, Trans::No, Trans::No, 7, 19, 17, 0, 0,
+       0, 1},
+      // More than 16 rows: B is packed.
+      {"packed", 24, 16, 7, Trans::Yes, Trans::No, 26, 16, 16, 0, 0, 0, 1},
+      {"packed, B^T", 8, 8, 8, Trans::No, Trans::Yes, 24, 8, 8, 0, 64, 64, 4},
+      // B shared: the members fold into one tall pass whose micro-tiles
+      // straddle members (contract4's shape).
+      {"folded into M", 8, 8, 8, Trans::No, Trans::Yes, 8, 24, 8, 64, 0, 64,
+       6},
+      // Edge rows and columns around full tiles.
+      {"ragged", 7, 13, 6, Trans::No, Trans::No, 6, 13, 13, 0, 0, 0, 1},
+      // Members 6 wide and 7 apart: column runs break at members.
+      {"broken runs", 5, 6, 9, Trans::No, Trans::No, 9, 6, 21, 0, 54, 7, 3},
+  };
+  // Operands: +0, -0 or a random value; C also +inf or -inf.
+  fit::SplitMix64 g(0x5167);
+  const double inf = std::numeric_limits<double>::infinity();
+  auto draw = [&](std::size_t count, bool c_side) {
+    std::vector<double> v(count);
+    for (auto& x : v) {
+      switch (g.next_below(c_side ? 6 : 4)) {
+        case 0: x = 0.0; break;
+        case 1: x = -0.0; break;
+        case 4: x = inf; break;
+        case 5: x = -inf; break;
+        default: x = g.next_double(-1.0, 1.0);
+      }
+    }
+    return v;
+  };
+  // The second operand set has A all -0.0 and B positive: every
+  // product is -0.0, and every sum must still come out +0.0.
+  for (const Shape& sh : shapes)
+    for (const bool negative_zeros : {false, true}) {
+      const std::size_t arows = sh.ta == Trans::No ? sh.m : sh.k;
+      const std::size_t brows = sh.tb == Trans::No ? sh.k : sh.n;
+      auto a = draw(arows * sh.lda + (sh.batch - 1) * sh.stride_a, false);
+      auto b = draw(brows * sh.ldb + (sh.batch - 1) * sh.stride_b, false);
+      if (negative_zeros) {
+        std::fill(a.begin(), a.end(), -0.0);
+        std::fill(b.begin(), b.end(), 0.5);
+      }
+      const auto c0 =
+          draw((sh.m - 1) * sh.ldc + sh.n + (sh.batch - 1) * sh.stride_c, true);
+      for (const double alpha : {1.0, -0.75})
+        for (const double beta : {1.0, 0.5, 0.0}) {
+          std::vector<double> want = c0;
+          for (std::size_t mb = 0; mb < sh.batch; ++mb)
+            for (std::size_t i = 0; i < sh.m; ++i)
+              for (std::size_t j = 0; j < sh.n; ++j) {
+                const double* am = a.data() + mb * sh.stride_a;
+                const double* bm = b.data() + mb * sh.stride_b;
+                double s = 0.0;
+                for (std::size_t p = 0; p < sh.k; ++p)
+                  s += (sh.ta == Trans::No ? am[i * sh.lda + p]
+                                           : am[p * sh.lda + i]) *
+                       (sh.tb == Trans::No ? bm[p * sh.ldb + j]
+                                           : bm[j * sh.ldb + p]);
+                double& cij = want[mb * sh.stride_c + i * sh.ldc + j];
+                cij = beta == 0.0 ? 0.0 : (beta == 1.0 ? cij : cij * beta);
+                cij += alpha * s;
+              }
+          for (int lvl = 0; lvl <= static_cast<int>(widest); ++lvl) {
+            auto cfg = base;
+            cfg.isa = static_cast<fit::blas::IsaLevel>(lvl);
+            fit::blas::set_gemm_config(cfg);
+            std::vector<double> got = c0;
+            fit::blas::gemm_batched(sh.ta, sh.tb, sh.m, sh.n, sh.k, alpha,
+                                    a.data(), sh.lda, sh.stride_a, b.data(),
+                                    sh.ldb, sh.stride_b, beta, got.data(),
+                                    sh.ldc, sh.stride_c, sh.batch);
+            ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                                     got.size() * sizeof(double)))
+                << sh.what << " level="
+                << fit::blas::isa_name(static_cast<fit::blas::IsaLevel>(lvl))
+                << " alpha=" << alpha << " beta=" << beta
+                << " negative_zeros=" << negative_zeros;
+          }
+        }
+    }
   fit::blas::set_gemm_config(base);
 }
 

@@ -65,7 +65,6 @@ TEST(Dispatch, EveryTableEntryIsNonNullAtEveryLevel) {
     const auto& t = fit::blas::kernel_table_for(level_of(i));
     EXPECT_EQ(t.level, level_of(i));
     EXPECT_NE(t.micro_kernel, nullptr) << fit::blas::isa_name(level_of(i));
-    EXPECT_NE(t.tile_update, nullptr);
     EXPECT_NE(t.pack_a, nullptr);
     EXPECT_NE(t.pack_b, nullptr);
     EXPECT_NE(t.axpy, nullptr);

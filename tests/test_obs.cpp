@@ -126,6 +126,29 @@ TEST(ObsMetrics, GetOrCreateIsIdempotentButKindChecked) {
   EXPECT_THROW((void)reg.histogram("x"), fit::Error);
 }
 
+// apply() leaves every slot as the same add() and set() calls made one
+// by one would, and refuses a histogram.
+TEST(ObsMetrics, ApplyMatchesAddAndSetOneByOne) {
+  obs::MetricsRegistry one(2), batched(2);
+  for (obs::MetricsRegistry* reg : {&one, &batched}) {
+    reg->counter("c");
+    reg->gauge("g");
+    reg->histogram("h");
+  }
+  one.add(0, 1, 0.1);
+  one.set(1, 0, 3.0);
+  one.add(0, 1, 0.2);
+  one.set(1, 0, 4.0);
+  const obs::MetricsRegistry::Write writes[] = {
+      {0, 1, 0.1}, {1, 0, 3.0}, {0, 1, 0.2}, {1, 0, 4.0}};
+  batched.apply(writes);
+  EXPECT_EQ(batched.value("c", 1), one.value("c", 1));
+  EXPECT_EQ(batched.value("g", 0), 4.0);
+  EXPECT_EQ(batched.sums(), one.sums());
+  const obs::MetricsRegistry::Write to_histogram[] = {{2, 0, 1.0}};
+  EXPECT_THROW(batched.apply(to_histogram), fit::Error);
+}
+
 TEST(ObsMetrics, ToJsonShape) {
   obs::MetricsRegistry reg(3);
   reg.add(reg.counter("c"), 1, 5);

@@ -2,8 +2,14 @@
 // request-parse taxonomy, admission by the fused-inner chain's capacity
 // check, schedule-cache bit-identity, and the NDJSON wire layer.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -743,6 +749,77 @@ TEST(Server, SpeaksNdjsonOverAUnixSocket) {
   const obs::json::Value bye = obs::json::parse(
       serve::Server::request(sock, "{\"verb\":\"shutdown\"}"));
   EXPECT_EQ(bye.find("outcome")->as_string(), "shutdown");
+  loop.join();
+}
+
+// A raw client socket connected to `path`, for requests that
+// Server::request cannot make (over-long lines, silence).
+int raw_connect(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd >= 0 &&
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0)
+    return fd;
+  if (fd >= 0) ::close(fd);
+  return -1;
+}
+
+// Everything the peer sends until it closes the connection.
+std::string read_to_eof(int fd) {
+  std::string out;
+  char buf[4096];
+  for (ssize_t k; (k = ::read(fd, buf, sizeof(buf))) > 0;)
+    out.append(buf, static_cast<std::size_t>(k));
+  return out;
+}
+
+TEST(Server, OverLongLineGetsOneErrorAndTheNextClientIsServed) {
+  const std::string sock = temp_path("serve-long.sock");
+  serve::Server server(TransformService{CostOracle{}}, sock);
+  std::thread loop([&] { server.serve_forever(/*max_requests=*/2); });
+  const int fd = raw_connect(sock);
+  ASSERT_GE(fd, 0);
+  // One byte past the cap and no newline: the server must not wait
+  // for the end of the line.
+  const std::string line(serve::kMaxLineBytes + 1, 'x');
+  std::size_t off = 0;
+  while (off < line.size()) {
+    const ssize_t k = ::write(fd, line.data() + off, line.size() - off);
+    ASSERT_GT(k, 0);
+    off += static_cast<std::size_t>(k);
+  }
+  const std::string reply = read_to_eof(fd);  // the server hangs up
+  ::close(fd);
+  ASSERT_EQ(std::count(reply.begin(), reply.end(), '\n'), 1) << reply;
+  const obs::json::Value err = obs::json::parse(reply);
+  EXPECT_EQ(err.find("outcome")->as_string(), "error");
+  EXPECT_NE(err.find("error")->as_string().find("exceeds"), std::string::npos);
+
+  const obs::json::Value stats =
+      obs::json::parse(serve::Server::request(sock, "{\"verb\":\"stats\"}"));
+  EXPECT_NE(stats.find("serve.requests"), nullptr);
+  loop.join();
+}
+
+TEST(Server, SilentClientIsDroppedAndTheNextClientIsServed) {
+  const std::string sock = temp_path("serve-idle.sock");
+  serve::Server server(TransformService{CostOracle{}}, sock);
+  std::thread loop([&] { server.serve_forever(/*max_requests=*/1); });
+  const int silent = raw_connect(sock);  // connects and says nothing
+  ASSERT_GE(silent, 0);
+  const auto t0 = std::chrono::steady_clock::now();
+  const obs::json::Value stats =
+      obs::json::parse(serve::Server::request(sock, "{\"verb\":\"stats\"}"));
+  const double waited = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+  EXPECT_NE(stats.find("serve.requests"), nullptr);
+  // The second client waited for the first one's idle timeout.
+  EXPECT_GE(waited, serve::kIdleTimeoutSeconds - 0.5);
+  EXPECT_EQ(read_to_eof(silent), "");  // dropped without a reply
+  ::close(silent);
   loop.join();
 }
 
